@@ -316,10 +316,31 @@ std::string OpLabel(size_t index, const XmlUpdate& op) {
 
 }  // namespace
 
+Status UpdateSystem::ApplyInsert(const std::string& elem_type,
+                                 const Tuple& attr, const Path& p) {
+  obs::TraceSpan span("op.insert");
+  XVU_OBS_LATENCY(lat, "xvu.op.insert.ns");
+  UpdateBatch batch;
+  batch.Insert(elem_type, attr, p);
+  return CommitBatch(batch, "insert");
+}
+
+Status UpdateSystem::ApplyDelete(const Path& p) {
+  obs::TraceSpan span("op.delete");
+  XVU_OBS_LATENCY(lat, "xvu.op.delete.ns");
+  UpdateBatch batch;
+  batch.Delete(p);
+  return CommitBatch(batch, "delete");
+}
+
 Status UpdateSystem::ApplyBatch(const UpdateBatch& batch) {
   obs::TraceSpan span("op.batch");
   span.Arg("ops", batch.size());
   XVU_OBS_LATENCY(lat, "xvu.op.batch.ns");
+  return CommitBatch(batch, "batch");
+}
+
+Status UpdateSystem::CommitBatch(const UpdateBatch& batch, const char* kind) {
   std::lock_guard<std::mutex> lock(commit_mu_);
   stats_ = UpdateStats{};
   stats_.batch_ops = batch.size();
@@ -336,27 +357,18 @@ Status UpdateSystem::ApplyBatch(const UpdateBatch& batch) {
   // so resubmitting a rejected batch hits them.
   eval_cache_.BeginScope();
   Status st = ApplyBatchImpl(batch, &ctx);
-  if (obs::MetricsEnabled()) {
-    XVU_OBS_COUNT("xvu.batch.ops", stats_.batch_ops);
-    XVU_OBS_COUNT("xvu.batch.xpath_cache_hits", stats_.xpath_cache_hits);
-    XVU_OBS_COUNT("xvu.batch.xpath_evaluations", stats_.xpath_evaluations);
-    XVU_OBS_COUNT("xvu.batch.delta_patches", stats_.delta_patches);
-    XVU_OBS_COUNT("xvu.batch.fallback_evals", stats_.fallback_evals);
-    XVU_OBS_COUNT("xvu.batch.dedup_ops", stats_.dedup_ops);
-  }
+  Status rb = Status::OK();
   if (st.ok()) {
     eval_cache_.CommitScope();
-    PublishEpoch();
-    RecordOpMetrics("batch", st);
-    return st;
+  } else {
+    rb = RollbackWrite(ctx);
+    // After a RollbackWrite resync (journal window evicted) the cache was
+    // Clear()ed, which discards the scope; RollbackScope is then a no-op.
+    eval_cache_.RollbackScope(ctx.snapshot_version);
   }
-  Status rb = RollbackWrite(ctx);
-  // After a RollbackWrite resync (journal window evicted) the cache was
-  // Clear()ed, which discards the scope; RollbackScope is then a no-op.
-  eval_cache_.RollbackScope(ctx.snapshot_version);
   PublishEpoch();
-  RecordOpMetrics("batch", st);
-  if (!rb.ok()) return rb;
+  RecordOpMetrics(kind, st);
+  XVU_RETURN_NOT_OK(rb);
   return st;
 }
 
@@ -674,8 +686,8 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
   // ---- Phase 4: apply — ∆R in one pass, then the view-side changes.
   // Every mutation from here on is recorded in `ctx` (or lands in the ∆V
   // journal, which RollbackWrite rewinds), so a failure at ANY point —
-  // including an injected one — just returns: the ApplyBatch wrapper
-  // restores the pre-batch state bit-identically.
+  // including an injected one — just returns: CommitBatch restores the
+  // pre-batch state bit-identically.
   XVU_RETURN_NOT_OK(ApplyDeltaRTracked(dr, &ctx->undo));
 
   // 4a: deletes — drop the selected edges and their witness rows.
@@ -717,16 +729,12 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
     // Cycle guard against the live DAG: it already contains every earlier
     // mutation of this batch, so cycles formed by op *combinations* (which
     // no snapshot check can see) are caught here.
-    std::vector<NodeId> cone = CollectDescOrSelf(dag_, {root});
-    std::unordered_set<NodeId> cone_set(cone.begin(), cone.end());
-    for (NodeId u : evals[plan.op_index]->selected) {
-      if (cone_set.count(u) > 0) {
-        return Status::Rejected("inserting (" + op.elem_type +
-                                ", ...) in " + OpLabel(plan.op_index, op) +
-                                " would make the view cyclic");
-      }
-    }
     const std::vector<NodeId>& targets = evals[plan.op_index]->selected;
+    if (ConeContainsAny(dag_, root, targets)) {
+      return Status::Rejected("inserting (" + op.elem_type + ", ...) in " +
+                              OpLabel(plan.op_index, op) +
+                              " would make the view cyclic");
+    }
     for (size_t k = 0; k < targets.size(); ++k) {
       (void)dag_.AddEdge(targets[k], root);
       // Fix the child_id placeholder and materialize the witness row.
@@ -749,7 +757,7 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
   // strategy from Options). A failure here (unreachable if the cycle
   // guards above are correct, but reachable through fault injection)
   // rolls the WHOLE batch back — including the already-applied ∆R — via
-  // the wrapper; maintenance's own garbage collection is journaled, so
+  // CommitBatch; maintenance's own garbage collection is journaled, so
   // the rewind undoes it along with the batch's mutations.
   ctx->maintenance_started = true;
   XVU_FAIL_POINT(failpoints::kBatchBeforeMaintain);

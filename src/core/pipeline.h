@@ -70,8 +70,11 @@ class UpdateBatch {
 class PathEvalCache {
  public:
   /// Default bound on retained entries; each traced entry's masks are
-  /// O(|V| · |p|), so the cache is bounded by count, oldest version first.
-  static constexpr size_t kDefaultMaxEntries = 256;
+  /// O(|V| · |p|) (a `//`-rooted path at |V| ≈ 90k keeps ~0.8 MB), so the
+  /// cache is bounded by count, oldest version first. Single ops store
+  /// one entry per distinct path, so the bound must stay small; a batch
+  /// workload keeps its hot paths as long as they number at most this.
+  static constexpr size_t kDefaultMaxEntries = 16;
 
   struct Stats {
     size_t hits = 0;

@@ -85,8 +85,10 @@ Result<EvalResult> Snapshot::Eval(const Path& p) const {
   XVU_ASSIGN_OR_RETURN(CachedEval fresh, ev.EvaluateTraced(p));
   out = fresh.result;
   // Both racers evaluated the same immutable state, so either store
-  // winning leaves identical contents.
+  // winning leaves identical contents. The memo is bounded like the
+  // writer's: AdoptPatched carries every entry into the next epoch.
   state_->cache.Store(key, state_->epoch, std::move(fresh));
+  state_->cache.Compact();
   return out;
 }
 

@@ -51,10 +51,11 @@ struct UpdateStats {
   bool had_side_effects = false;
   bool used_sat = false;
 
-  /// Batched-pipeline counters. ApplyBatch fills them for the whole batch;
-  /// the per-op entry points report the single-op equivalents (batch_ops =
-  /// xpath_evaluations = maintenance_passes = 1), so callers can compare
-  /// the two paths uniformly.
+  /// Batched-pipeline counters, for the whole batch. ApplyInsert and
+  /// ApplyDelete run as a batch of one, so they report batch_ops = 1 and
+  /// take their path's evaluation from the shared PathEvalCache like any
+  /// batch: xpath_evaluations is 1 on a miss and 0 when the cached entry
+  /// was hit or delta-patched.
   /// dag().version() the op/batch evaluated against (the pre-write read
   /// epoch). After a successful write the maintenance cursor and the
   /// published read epoch both land on the new dag().version(), strictly
@@ -68,9 +69,9 @@ struct UpdateStats {
   size_t maintenance_passes = 0;
 
   /// Journal/engine counters. `maintenance_strategy` is what actually ran
-  /// (per-op paths report kIncrementalMerge: Fig.7/8 are incremental by
-  /// construction); `journal_entries_replayed` is the ∆V window length the
-  /// batch merge consumed. `delta_patches` counts cached XPath node-sets
+  /// (single ops included: MaintainBatch picks it by the same cost model);
+  /// `journal_entries_replayed` is the ∆V window length the merge
+  /// consumed. `delta_patches` counts cached XPath node-sets
   /// brought forward across DAG versions by journal patching, and
   /// `fallback_evals` the stale entries where patching was not applicable
   /// and a fresh evaluation ran instead.
@@ -169,10 +170,10 @@ class UpdateSystem {
   /// Applies a whole batch atomically under snapshot semantics (see
   /// UpdateBatch): one shared XPath evaluation per distinct normalized
   /// path, one consolidated ∆V → ∆R translation, one ∆R application, and
-  /// one deferred maintenance pass — instead of the per-op pipeline run N
-  /// times. Rejected (leaving all state untouched) on any per-op
-  /// validation failure or intra-batch conflict. Implemented in
-  /// core/pipeline.cc.
+  /// one deferred maintenance pass — instead of N one-op batches.
+  /// Rejected (leaving all state untouched) on any per-op validation
+  /// failure or intra-batch conflict. Implemented in core/pipeline.cc,
+  /// like ApplyInsert/ApplyDelete, which run as a batch of one.
   Status ApplyBatch(const UpdateBatch& batch);
 
   /// Memoized XPath evaluations shared by batched updates.
@@ -186,7 +187,8 @@ class UpdateSystem {
   /// subtrees); each deletion removes the witness rows that used the
   /// tuple, with unreferenced edges and nodes garbage-collected. Rejected
   /// (with full rollback of nothing applied) if the update would make the
-  /// view cyclic; ops are applied one at a time, failing fast otherwise.
+  /// view cyclic; ops are applied one at a time, failing fast otherwise,
+  /// and each ends with one MaintainBatch pass plus ReclaimCollected.
   Status ApplyRelationalUpdate(const RelationalUpdate& dr);
 
   /// Read-only XPath query over the view. Unsynchronized: sees the live
@@ -196,15 +198,17 @@ class UpdateSystem {
   Result<EvalResult> Query(const std::string& xpath) const;
 
   /// MVCC reads. Pins the current read epoch and returns a handle whose
-  /// Eval sees exactly that version, from any thread, with no writer
-  /// blocking: the handle owns an immutable shared copy of the epoch's
-  /// state, so writers never wait on readers and readers never wait on
-  /// writers (acquisition itself briefly serializes with commits on
-  /// `commit_mu_`). The copy is amortized — one per write→read
-  /// transition, reused by every snapshot of the same epoch — and its
-  /// eval memo is carried across epochs by ∆V-journal patching. Writers
-  /// retire an epoch's journal window only once no snapshot pins it
-  /// (EpochRegistry → DagJournal retain floor).
+  /// Eval sees exactly that version, from any thread: the handle owns an
+  /// immutable shared copy of the epoch's state, so a pinned handle's
+  /// reads never wait on writers and writers never wait on them.
+  /// Acquisition itself is not free of writers: it takes `commit_mu_`, so
+  /// it waits for a commit in progress, and the first acquisition after a
+  /// commit rebuilds the shared state (deep copies of the DAG, L and M,
+  /// O(|V| + |M|)) under that lock. The copy is amortized — one per
+  /// write→read transition, reused by every snapshot of the same epoch —
+  /// and its eval memo is carried across epochs by ∆V-journal patching.
+  /// Writers retire an epoch's journal window only once no snapshot pins
+  /// it (EpochRegistry → DagJournal retain floor).
   Snapshot AcquireSnapshot();
 
   /// The published read epoch: dag().version() as of the last committed
@@ -264,7 +268,7 @@ class UpdateSystem {
   /// the version counter, and the journal tail.
   struct WriteUndo {
     uint64_t snapshot_version = 0;  ///< dag_.version() before the op
-    Deadline deadline;              ///< per-op budget (infinite when unset)
+    Deadline deadline;              ///< per-call budget (infinite if unset)
     std::vector<TableOp> undo;      ///< applied ∆R, for Rollback()
     std::vector<ViewRowOp> removed_rows;  ///< witness rows dropped (4a)
     std::vector<Publisher::SubtreeResult> published;  ///< subtrees (4b)
@@ -293,25 +297,21 @@ class UpdateSystem {
   /// evicted; returns that resync's status (OK on the normal path).
   Status RollbackWrite(const WriteUndo& ctx);
 
-  /// The batch pipeline body (core/pipeline.cc). ApplyBatch wraps it
-  /// with the eval-cache scope and RollbackWrite.
+  /// The one write path (core/pipeline.cc): under `commit_mu_`, runs
+  /// ApplyBatchImpl inside an eval-cache scope, rolls back with
+  /// RollbackWrite on failure, publishes the read epoch, and folds the
+  /// outcome into `xvu.op.<kind>.*`. ApplyInsert and ApplyDelete submit a
+  /// batch of one; ApplyBatch submits the caller's batch.
+  Status CommitBatch(const UpdateBatch& batch, const char* kind);
+
+  /// The batch pipeline body (core/pipeline.cc): fills `ctx` as it
+  /// mutates, returns on the first failure, and leaves the cleanup to
+  /// CommitBatch.
   Status ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx);
 
-  /// Per-op pipeline bodies: fill `ctx` as they mutate, return on the
-  /// first failure, and leave the cleanup entirely to RollbackWrite in
-  /// the ApplyInsert/ApplyDelete wrappers.
-  Status ApplyInsertImpl(const std::string& elem_type, const Tuple& attr,
-                         const Path& p, WriteUndo* ctx);
-  Status ApplyDeleteImpl(const Path& p, WriteUndo* ctx);
-
-  /// Undoes one subtree publication: removes its new edges, the witness
-  /// rows materialized under its new nodes, their gen rows, and finally
-  /// the nodes themselves.
-  void RollbackSubtree(const Publisher::SubtreeResult& st);
-
-  /// Store-only half of RollbackSubtree: removes the witness rows and
-  /// gen rows of a publication but leaves the DAG alone — used by
-  /// RollbackWrite, where DagView::RewindTo undoes the structure.
+  /// Removes the witness rows and gen rows of one subtree publication but
+  /// leaves the DAG alone — used by RollbackWrite, where DagView::RewindTo
+  /// undoes the structure.
   void UnpublishSubtreeRows(const Publisher::SubtreeResult& st);
 
   /// Reclaims the relational coding of garbage-collected parts: witness
@@ -324,13 +324,15 @@ class UpdateSystem {
   /// lock and epoch publication.
   Status ApplyRelationalUpdateImpl(const RelationalUpdate& dr);
 
-  /// Folds the finished op's outcome and Fig.11 phase breakdown from
-  /// `stats_` into the cumulative registry view (`xvu.op.<kind>.*`).
-  /// `kind` is "insert", "delete", or "batch".
+  /// Folds the finished write's outcome and Fig.11 phase breakdown from
+  /// `stats_` into the cumulative registry view: `xvu.op.<kind>.*`, where
+  /// `kind` is "insert", "delete", or "batch", and the `xvu.batch.*`
+  /// pipeline counters, which every write feeds.
   void RecordOpMetrics(const char* kind, const Status& st);
 
   /// Propagates one already-applied base insertion / deletion into the
-  /// view (core/propagate.cc).
+  /// view's DAG and store (core/propagate.cc). M and L are left to the
+  /// MaintainBatch pass that ends each base-tuple op.
   Status PropagateBaseInsert(const std::string& table, const Tuple& row);
   Status PropagateBaseDelete(const std::string& table, const Tuple& row);
 

@@ -1,8 +1,5 @@
 #include "src/dag/maintenance.h"
 
-#include <algorithm>
-#include <deque>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace xvu {
@@ -24,171 +21,14 @@ std::vector<NodeId> CollectDescOrSelf(const DagView& dag,
   return out;
 }
 
-namespace {
-
-/// Descendants-first topological order of the subgraph induced by `nodes`.
-std::vector<NodeId> InducedTopo(const DagView& dag,
-                                const std::vector<NodeId>& nodes) {
-  std::unordered_set<NodeId> in(nodes.begin(), nodes.end());
-  std::unordered_map<NodeId, size_t> outdeg;
-  for (NodeId v : nodes) {
-    size_t d = 0;
-    for (NodeId c : dag.children(v)) {
-      if (in.count(c) > 0) ++d;
-    }
-    outdeg[v] = d;
-  }
-  std::deque<NodeId> q;
-  for (NodeId v : nodes) {
-    if (outdeg[v] == 0) q.push_back(v);
-  }
-  std::vector<NodeId> order;
-  order.reserve(nodes.size());
-  while (!q.empty()) {
-    NodeId v = q.front();
-    q.pop_front();
-    order.push_back(v);
-    for (NodeId p : dag.parents(v)) {
-      auto it = outdeg.find(p);
-      if (it != outdeg.end() && --it->second == 0) q.push_back(p);
-    }
-  }
-  return order;
-}
-
-}  // namespace
-
-Status MaintainInsert(const DagView& dag, NodeId subtree_root,
-                      const std::vector<NodeId>& new_nodes,
-                      const std::vector<NodeId>& targets, Reachability* m,
-                      TopoOrder* l, MaintenanceDelta* delta) {
-  // D = desc-or-self(subtree_root): the subtree's node set, and the
-  // induced subgraph is closed under paths between its members.
-  m->Reserve(dag.capacity());
-  std::vector<NodeId> subtree = CollectDescOrSelf(dag, {subtree_root});
-  std::vector<NodeId> ltree = InducedTopo(dag, subtree);
-  if (ltree.size() != subtree.size()) {
-    return Status::Internal("inserted subtree is cyclic");
-  }
-  std::unordered_set<NodeId> in_subtree(subtree.begin(), subtree.end());
-
-  // (1) ∆M, part one: reachability closure inside the subtree (Algorithm
-  // Reach restricted to the induced subgraph; inserts are idempotent for
-  // pairs of pre-existing shared nodes).
-  for (size_t k = ltree.size(); k > 0; --k) {
-    NodeId d = ltree[k - 1];
-    for (NodeId p : dag.parents(d)) {
-      if (in_subtree.count(p) == 0) continue;
-      if (m->Insert(p, d)) delta->m_inserted.emplace_back(p, d);
-      for (NodeId a : m->Ancestors(p)) {
-        if (m->Insert(a, d)) delta->m_inserted.emplace_back(a, d);
-      }
-    }
-  }
-
-  // (2) ∆M, part two (Fig.7 lines 4-5): cross pairs — every ancestor-or-
-  // self of a target reaches every subtree node through the connect edge.
-  std::unordered_set<NodeId> anc_targets(targets.begin(), targets.end());
+bool ConeContainsAny(const DagView& dag, NodeId root,
+                     const std::vector<NodeId>& targets) {
+  std::vector<NodeId> cone = CollectDescOrSelf(dag, {root});
+  std::unordered_set<NodeId> cone_set(cone.begin(), cone.end());
   for (NodeId u : targets) {
-    const auto& au = m->Ancestors(u);
-    anc_targets.insert(au.begin(), au.end());
+    if (cone_set.count(u) > 0) return true;
   }
-  for (NodeId a : anc_targets) {
-    for (NodeId d : subtree) {
-      if (a == d) continue;
-      if (m->Insert(a, d)) delta->m_inserted.emplace_back(a, d);
-    }
-  }
-
-  // (3) L: merge the new nodes children-first, each immediately after its
-  // rightmost (max-position) child; a parentless/childless new node goes
-  // to the front. This realizes the LA/L alignment-and-merge of Fig.7
-  // lines 6-14 for the case where only new nodes need placing.
-  std::unordered_set<NodeId> fresh(new_nodes.begin(), new_nodes.end());
-  for (NodeId v : ltree) {
-    if (fresh.count(v) == 0) {
-      continue;  // existing shared node: already placed consistently
-    }
-    size_t at = TopoOrder::npos;
-    for (NodeId c : dag.children(v)) {
-      size_t pc = l->PositionOf(c);
-      if (pc == TopoOrder::npos) {
-        return Status::Internal("child placed after parent during L merge");
-      }
-      if (at == TopoOrder::npos || pc > at) at = pc;
-    }
-    l->InsertAfter(v, at);
-  }
-
-  // (4) Fig.7 lines 12-13: if the subtree root pre-existed (or after the
-  // merge), targets that precede it must be re-aligned: with the new edge
-  // (u, root) the root's cone must move before u.
-  for (NodeId u : targets) {
-    size_t pu = l->PositionOf(u);
-    size_t pr = l->PositionOf(subtree_root);
-    if (pu != TopoOrder::npos && pr != TopoOrder::npos && pu < pr) {
-      l->Swap(u, subtree_root, *m);
-    }
-  }
-  return Status::OK();
-}
-
-Status MaintainDelete(DagView* dag, const std::vector<NodeId>& targets,
-                      Reachability* m, TopoOrder* l,
-                      MaintenanceDelta* delta) {
-  // L_R: desc-or-self(targets) in the PRE-deletion view, taken from the
-  // (stale) matrix — the DAG has already lost the deleted edges, so a DFS
-  // there would miss newly orphaned regions. Sorted by L and scanned
-  // backwards so every node is processed after all of its ancestors.
-  std::unordered_set<NodeId> lr_set(targets.begin(), targets.end());
-  for (NodeId v : targets) {
-    const auto& dv = m->Descendants(v);
-    lr_set.insert(dv.begin(), dv.end());
-  }
-  std::vector<NodeId> lr(lr_set.begin(), lr_set.end());
-  std::sort(lr.begin(), lr.end(), [&](NodeId a, NodeId b) {
-    return l->PositionOf(a) < l->PositionOf(b);
-  });
-
-  std::unordered_map<NodeId, bool> keep;
-  for (NodeId d : lr) keep[d] = true;
-  auto is_kept = [&](NodeId v) {
-    auto it = keep.find(v);
-    return it == keep.end() || it->second;
-  };
-
-  for (size_t k = lr.size(); k > 0; --k) {
-    NodeId d = lr[k - 1];
-    if (d == dag->root()) continue;  // the root is never collected
-    // P_d: surviving parents (deleted edges are already gone from dag).
-    std::unordered_set<NodeId> ad;
-    bool has_parent = false;
-    for (NodeId a : dag->parents(d)) {
-      if (!is_kept(a)) continue;
-      has_parent = true;
-      ad.insert(a);
-      const auto& aa = m->Ancestors(a);
-      ad.insert(aa.begin(), aa.end());
-    }
-    m->SetAncestors(d, std::move(ad), &delta->m_deleted);
-    if (!has_parent) {
-      keep[d] = false;
-      l->Remove(d);
-      for (NodeId c : dag->children(d)) delta->orphan_edges.emplace_back(d, c);
-    }
-  }
-
-  // Garbage collection: drop the orphan edges, then the dead nodes.
-  for (const auto& [u, v] : delta->orphan_edges) {
-    XVU_RETURN_NOT_OK(dag->RemoveEdge(u, v));
-  }
-  for (NodeId d : lr) {
-    if (!keep[d]) {
-      XVU_RETURN_NOT_OK(dag->RemoveNode(d));
-      delta->removed_nodes.push_back(d);
-    }
-  }
-  return Status::OK();
+  return false;
 }
 
 Status MaintainBatch(DagView* dag, Reachability* m, TopoOrder* l,

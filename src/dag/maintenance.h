@@ -11,12 +11,12 @@
 
 namespace xvu {
 
-/// Changes produced by the incremental maintenance algorithms of
-/// Section 3.4.
+/// Changes produced by one maintenance pass (Section 3.4's ∆M and ∆'V,
+/// consolidated over a journal window).
 struct MaintenanceDelta {
-  /// Pairs added to the reachability matrix (∆M of Fig.7).
+  /// Pairs added to the reachability matrix.
   std::vector<std::pair<NodeId, NodeId>> m_inserted;
-  /// Pairs removed from the reachability matrix (∆M of Fig.8).
+  /// Pairs removed from the reachability matrix.
   std::vector<std::pair<NodeId, NodeId>> m_deleted;
   /// ∆'V of Fig.8: outgoing edges of garbage-collected nodes, removed from
   /// the DAG and handed to the caller so the corresponding witness rows can
@@ -26,34 +26,6 @@ struct MaintenanceDelta {
   /// are reclaimed by the background garbage collector of Section 2.3).
   std::vector<NodeId> removed_nodes;
 };
-
-/// Algorithm ∆(M,L)insert (Fig.7).
-///
-/// Preconditions: `dag` already contains the published subtree ST(A, t)
-/// (root `subtree_root`, newly created nodes `new_nodes`) and the connect
-/// edges (u, subtree_root) for every u in `targets` (= r[[p]]).
-///
-/// Updates `m` with (a) the reachability closure of the subtree's induced
-/// subgraph and (b) the cross pairs anc-or-self(targets) × desc-or-self
-/// (subtree_root); updates `l` by merging the new nodes in children-first
-/// order and swap-aligning the targets with the subtree root.
-Status MaintainInsert(const DagView& dag, NodeId subtree_root,
-                      const std::vector<NodeId>& new_nodes,
-                      const std::vector<NodeId>& targets, Reachability* m,
-                      TopoOrder* l, MaintenanceDelta* delta);
-
-/// Algorithm ∆(M,L)delete (Fig.8).
-///
-/// Preconditions: the edges E_p(r) selected by Xdelete have already been
-/// removed from `dag`; `m` is still the PRE-deletion matrix (it is used to
-/// enumerate the affected descendants L_R).
-///
-/// Recomputes ancestor sets for all affected nodes in a backward scan of
-/// L_R, emits ∆M deletions, garbage-collects nodes left without live
-/// parents (cascading), removes their outgoing edges from `dag` (∆'V) and
-/// drops them from `l`.
-Status MaintainDelete(DagView* dag, const std::vector<NodeId>& targets,
-                      Reachability* m, TopoOrder* l, MaintenanceDelta* delta);
 
 /// Batch-aware full-rebuild maintenance: one pass for a whole UpdateBatch
 /// (the deferred, backgroundable phase of Fig.11c, amortized over N ops).
@@ -77,6 +49,11 @@ Status MaintainBatch(DagView* dag, Reachability* m, TopoOrder* l,
 /// desc-or-self of `roots` by DFS over the current DAG.
 std::vector<NodeId> CollectDescOrSelf(const DagView& dag,
                                       const std::vector<NodeId>& roots);
+
+/// True iff some node of `targets` lies in desc-or-self(`root`) of the
+/// current DAG, i.e. an edge from it to `root` would close a cycle.
+bool ConeContainsAny(const DagView& dag, NodeId root,
+                     const std::vector<NodeId>& targets);
 
 }  // namespace xvu
 

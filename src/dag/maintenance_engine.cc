@@ -32,26 +32,6 @@ Status MaintenanceEngine::Rebuild(const DagView& dag) {
   return Status::OK();
 }
 
-Status MaintenanceEngine::MaintainInsert(const DagView& dag,
-                                         NodeId subtree_root,
-                                         const std::vector<NodeId>& new_nodes,
-                                         const std::vector<NodeId>& targets,
-                                         MaintenanceDelta* delta) {
-  XVU_RETURN_NOT_OK(xvu::MaintainInsert(dag, subtree_root, new_nodes,
-                                        targets, &reach_, &topo_, delta));
-  maintained_version_ = dag.version();
-  return Status::OK();
-}
-
-Status MaintenanceEngine::MaintainDelete(DagView* dag,
-                                         const std::vector<NodeId>& targets,
-                                         MaintenanceDelta* delta) {
-  XVU_RETURN_NOT_OK(
-      xvu::MaintainDelete(dag, targets, &reach_, &topo_, delta));
-  maintained_version_ = dag->version();
-  return Status::OK();
-}
-
 namespace {
 
 /// Ancestors-first topological order of the subgraph induced by `nodes`:
@@ -133,51 +113,51 @@ Status MaintenanceEngine::IncrementalMerge(
   }
 
   // (2) Garbage collection, same criterion as the full path: a node
-  // survives iff it is reachable from the root. The removals are applied
-  // through the DagView (journaling them for any other journal consumer)
-  // and folded into the net effect.
-  std::vector<NodeId> doomed;
-  if (!net_removed.empty() || !stale_nodes.empty()) {
-    // Pre-existing structure was removed: anything may have come loose;
-    // sweep from the root.
-    std::vector<NodeId> reachable = CollectDescOrSelf(*dag, {dag->root()});
-    std::unordered_set<NodeId> live(reachable.begin(), reachable.end());
-    for (NodeId v : dag->LiveNodes()) {
-      if (live.count(v) == 0) doomed.push_back(v);
-    }
-  } else if (!fresh_nodes.empty()) {
-    // No pre-existing edge or node was (net-)removed, so every old node
-    // is exactly as reachable as before and only this window's fresh
-    // nodes can be garbage (e.g. published but never connected, or whose
-    // connect edge was added and removed inside the window — net-zero
-    // for the edge, not for the node). A fresh node lives iff a path
-    // from an anchored fresh node (one with an old parent) reaches it;
-    // this keeps the common insert-only batch free of the O(|V|) sweep.
-    std::deque<NodeId> q;
-    std::unordered_set<NodeId> alive;
-    for (NodeId v : fresh_nodes) {
-      bool anchored = false;
-      for (NodeId p : dag->parents(v)) {
-        if (fresh_nodes.count(p) == 0) {
-          anchored = true;
-          break;
-        }
-      }
-      if (anchored && alive.insert(v).second) q.push_back(v);
-    }
-    while (!q.empty()) {
-      NodeId v = q.front();
-      q.pop_front();
-      for (NodeId c : dag->children(v)) {
-        if (fresh_nodes.count(c) > 0 && alive.insert(c).second) {
-          q.push_back(c);
-        }
-      }
-    }
-    for (NodeId v : fresh_nodes) {
-      if (alive.count(v) == 0) doomed.push_back(v);
+  // survives iff it is reachable from the root. Only the region the window
+  // can have cut loose is examined. An old node outside desc-or-self of
+  // the net-removed edges' children still has every incoming edge it had,
+  // each from a parent that is itself outside the region, so it stays
+  // reachable; fresh nodes are reachable only if the window connected
+  // them. The candidates are visited ancestors first, so each one's
+  // parents are decided before it is, and one lives iff some parent
+  // lives. (The root is never a candidate: it has no parents in an
+  // acyclic view, and a window that moves it is rejected above.) The
+  // removals are applied through the DagView (journaling them for any
+  // other journal consumer) and folded into the net effect.
+  std::vector<NodeId> cut;
+  for (const auto& e : net_removed) {
+    if (dag->alive(e.second)) cut.push_back(e.second);
+  }
+  std::vector<NodeId> candidates = CollectDescOrSelf(*dag, cut);
+  {
+    std::unordered_set<NodeId> below(candidates.begin(), candidates.end());
+    std::vector<NodeId> fresh(fresh_nodes.begin(), fresh_nodes.end());
+    std::sort(fresh.begin(), fresh.end());
+    for (NodeId v : fresh) {
+      if (below.count(v) == 0) candidates.push_back(v);
     }
   }
+  XVU_ASSIGN_OR_RETURN(std::vector<NodeId> gc_order,
+                       InducedTopoAncestorsFirst(*dag, candidates));
+  std::unordered_map<NodeId, bool> candidate_lives;
+  candidate_lives.reserve(candidates.size());
+  for (NodeId v : candidates) candidate_lives.emplace(v, false);
+  std::vector<NodeId> doomed;
+  for (NodeId v : gc_order) {
+    bool lives = false;
+    for (NodeId p : dag->parents(v)) {
+      auto it = candidate_lives.find(p);
+      // A parent outside the region lives, as argued above.
+      lives = it == candidate_lives.end() || it->second;
+      if (lives) break;
+    }
+    candidate_lives[v] = lives;
+    if (!lives) doomed.push_back(v);
+  }
+  // Id order, as the full rebuild's sweep removes them: parent vectors are
+  // swap-erased, so the removal order fixes their layout, and with it the
+  // Kahn order L of step (6).
+  std::sort(doomed.begin(), doomed.end());
   for (NodeId v : doomed) {
     std::vector<NodeId> children = dag->children(v);
     for (NodeId c : children) {

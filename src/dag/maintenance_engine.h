@@ -71,15 +71,6 @@ class MaintenanceEngine {
   /// DAG version the structures are currently valid for.
   uint64_t maintained_version() const { return maintained_version_; }
 
-  /// Per-op incremental maintenance (Fig.7 / Fig.8), keeping the journal
-  /// cursor in sync. Same contracts as the free functions they wrap.
-  Status MaintainInsert(const DagView& dag, NodeId subtree_root,
-                        const std::vector<NodeId>& new_nodes,
-                        const std::vector<NodeId>& targets,
-                        MaintenanceDelta* delta);
-  Status MaintainDelete(DagView* dag, const std::vector<NodeId>& targets,
-                        MaintenanceDelta* delta);
-
   /// Batch maintenance: garbage-collects unreachable nodes and brings M
   /// and L to dag->version(), choosing the strategy per `options`. Both
   /// strategies produce identical M, L (bit-identical: the incremental
@@ -99,9 +90,11 @@ class MaintenanceEngine {
                            BatchReport* report);
 
   /// The generalized multi-op ∆(M,L) merge. Consolidates the journal into
-  /// its net structural effect, garbage-collects, recomputes ancestor sets
-  /// over the affected region only (new-DAG desc-or-self of the changed
-  /// edges' child endpoints and new nodes), and re-derives L linearly.
+  /// its net structural effect, garbage-collects within the region the
+  /// window can have cut loose (desc-or-self of the net-removed edges'
+  /// children, plus the fresh nodes), recomputes ancestor sets over the
+  /// affected region only (new-DAG desc-or-self of the changed edges'
+  /// child endpoints and new nodes), and re-derives L with one Kahn pass.
   Status IncrementalMerge(DagView* dag, const std::vector<DagDelta>& journal,
                           MaintenanceDelta* delta);
 

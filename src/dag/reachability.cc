@@ -89,26 +89,6 @@ bool Reachability::Erase(NodeId a, NodeId d) {
   return true;
 }
 
-void Reachability::SetAncestors(
-    NodeId d, std::unordered_set<NodeId> ancestors,
-    std::vector<std::pair<NodeId, NodeId>>* removed) {
-  EnsureCapacity(d);
-  for (NodeId a : anc_[d]) {
-    if (ancestors.count(a) == 0) {
-      desc_[a].erase(d);
-      --size_;
-      if (removed != nullptr) removed->emplace_back(a, d);
-    }
-  }
-  for (NodeId a : ancestors) {
-    if (anc_[d].count(a) == 0) {
-      desc_[a].insert(d);
-      ++size_;
-    }
-  }
-  anc_[d] = std::move(ancestors);
-}
-
 bool Reachability::operator==(const Reachability& o) const {
   if (size_ != o.size_) return false;
   size_t n = std::max(anc_.size(), o.anc_.size());

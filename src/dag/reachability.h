@@ -43,11 +43,6 @@ class Reachability {
   /// Erases pair (a, d); returns true if it was present.
   bool Erase(NodeId a, NodeId d);
 
-  /// Replaces d's ancestor set wholesale (used by deletion maintenance);
-  /// appends every removed pair (a, d) to `removed` when non-null.
-  void SetAncestors(NodeId d, std::unordered_set<NodeId> ancestors,
-                    std::vector<std::pair<NodeId, NodeId>>* removed);
-
   /// Number of stored (anc, desc) pairs — the |M| reported in Fig.10(b).
   size_t size() const { return size_; }
 

@@ -1,91 +1,38 @@
 #include "src/dag/topo_order.h"
 
-#include <algorithm>
-#include <deque>
-
-#include "src/dag/reachability.h"
+#include <cstdint>
 
 namespace xvu {
 
-void TopoOrder::EnsurePos(NodeId v) {
-  if (v >= pos_.size()) pos_.resize(v + 1, npos);
-}
-
 Result<TopoOrder> TopoOrder::Compute(const DagView& dag) {
   TopoOrder t;
-  std::vector<NodeId> live = dag.LiveNodes();
-  std::vector<size_t> outdeg(dag.capacity(), 0);
-  std::deque<NodeId> q;
-  for (NodeId v : live) {
-    outdeg[v] = dag.children(v).size();
-    if (outdeg[v] == 0) q.push_back(v);
-  }
-  t.order_.reserve(live.size());
-  t.pos_.assign(dag.capacity(), npos);
+  const size_t cap = dag.capacity();
+  std::vector<uint32_t> outdeg(cap, 0);
+  t.order_.reserve(dag.num_nodes());
   // Kahn over reversed edges: emit a node once all of its children are
   // emitted, yielding a descendants-first order (u precedes v only if u is
-  // not an ancestor of v, as Section 3.1 requires).
-  while (!q.empty()) {
-    NodeId v = q.front();
-    q.pop_front();
-    t.pos_[v] = t.order_.size();
-    t.order_.push_back(v);
-    for (NodeId p : dag.parents(v)) {
-      if (--outdeg[p] == 0) q.push_back(p);
+  // not an ancestor of v, as Section 3.1 requires). The output doubles as
+  // the FIFO queue: nodes are emitted in the order they become ready.
+  for (NodeId v = 0; v < cap; ++v) {
+    if (!dag.alive(v)) continue;
+    outdeg[v] = static_cast<uint32_t>(dag.children(v).size());
+    if (outdeg[v] == 0) t.order_.push_back(v);
+  }
+  for (size_t head = 0; head < t.order_.size(); ++head) {
+    for (NodeId p : dag.parents(t.order_[head])) {
+      if (--outdeg[p] == 0) t.order_.push_back(p);
     }
   }
-  if (t.order_.size() != live.size()) {
+  if (t.order_.size() != dag.num_nodes()) {
     return Status::Rejected("DAG contains a cycle; no topological order");
   }
+  t.pos_.assign(cap, npos);
+  for (size_t i = 0; i < t.order_.size(); ++i) t.pos_[t.order_[i]] = i;
   return t;
 }
 
 size_t TopoOrder::PositionOf(NodeId v) const {
   return v < pos_.size() ? pos_[v] : npos;
-}
-
-void TopoOrder::Reindex(size_t from) {
-  for (size_t i = from; i < order_.size(); ++i) pos_[order_[i]] = i;
-}
-
-void TopoOrder::Remove(NodeId v) {
-  size_t p = PositionOf(v);
-  if (p == npos) return;
-  order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(p));
-  pos_[v] = npos;
-  Reindex(p);
-}
-
-void TopoOrder::InsertAfter(NodeId v, size_t pos) {
-  EnsurePos(v);
-  size_t at = pos == npos ? 0 : pos + 1;
-  order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at), v);
-  Reindex(at);
-}
-
-void TopoOrder::Swap(NodeId u, NodeId v, const Reachability& reach) {
-  size_t pu = PositionOf(u);
-  size_t pv = PositionOf(v);
-  if (pu == npos || pv == npos || pu >= pv) return;
-  // Collect L[u:v] ∩ desc-or-self(v), preserving relative order, and move
-  // it immediately in front of u: with the new edge (u, v) those nodes are
-  // descendants of u and must precede it. Everything else in the window
-  // keeps its relative order; Section 3.4 shows no other constraint can be
-  // violated (a non-descendant of v in the window can be neither an
-  // ancestor of a mover nor a descendant of one below v).
-  std::vector<NodeId> movers, keepers;
-  for (size_t i = pu; i <= pv; ++i) {
-    NodeId x = order_[i];
-    if (x == v || reach.IsAncestor(v, x)) {
-      movers.push_back(x);
-    } else {
-      keepers.push_back(x);
-    }
-  }
-  size_t w = pu;
-  for (NodeId x : movers) order_[w++] = x;
-  for (NodeId x : keepers) order_[w++] = x;
-  Reindex(pu);
 }
 
 Status TopoOrder::Check(const DagView& dag) const {

@@ -144,7 +144,9 @@ uint64_t HistogramSnapshot::Quantile(double q) const {
   uint64_t seen = 0;
   for (size_t b = 0; b < buckets.size(); ++b) {
     seen += buckets[b];
-    if (seen >= rank) return Histogram::BucketUpperBound(b);
+    // The top recording's bucket can reach past the largest value ever
+    // recorded; a quantile never reports more than `max`.
+    if (seen >= rank) return std::min(Histogram::BucketUpperBound(b), max);
   }
   return max;
 }

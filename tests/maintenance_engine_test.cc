@@ -58,30 +58,82 @@ void ApplyOps(DagView* dag, const std::vector<MutOp>& ops) {
   }
 }
 
+/// Records and applies to `probe` one fresh node (the same id on every
+/// replay, since allocation order aligns).
+NodeId AddFreshNode(DagView* probe, std::vector<MutOp>* ops, uint64_t uid) {
+  MutOp add;
+  add.kind = MutOp::Kind::kAddNode;
+  add.type = "n";
+  add.attr = {Value::Int(static_cast<int64_t>(uid))};
+  NodeId id = probe->GetOrAddNode(add.type, add.attr);
+  ops->push_back(std::move(add));
+  return id;
+}
+
+void AddRecordedEdge(DagView* probe, std::vector<MutOp>* ops, NodeId u,
+                     NodeId v) {
+  MutOp edge;
+  edge.kind = MutOp::Kind::kAddEdge;
+  edge.u = u;
+  edge.v = v;
+  probe->AddEdge(u, v);
+  ops->push_back(edge);
+}
+
+void RemoveRecordedEdge(DagView* probe, std::vector<MutOp>* ops, NodeId u,
+                        NodeId v) {
+  MutOp edge;
+  edge.kind = MutOp::Kind::kRemoveEdge;
+  edge.u = u;
+  edge.v = v;
+  EXPECT_TRUE(probe->RemoveEdge(u, v).ok());
+  ops->push_back(edge);
+}
+
+/// True iff `v` heads a chain: it and each node below it have exactly
+/// one parent, so cutting v's incoming edge collects all of them.
+bool HeadsSingleParentChain(const DagView& dag, NodeId v) {
+  for (NodeId x : CollectDescOrSelf(dag, {v})) {
+    if (dag.parents(x).size() != 1) return false;
+  }
+  return true;
+}
+
 /// Generates one random batch against `probe` (mutating it, so chained
 /// rounds see the effects of earlier ones) and records the replayable ops.
+/// Besides plain edge churn, the windows exercise each case of the merge's
+/// region-bounded GC: a removed edge into a node that keeps another parent
+/// (it survives), a removed edge above a single-parent chain (the chain is
+/// collected), and fresh nodes that are published but never connected.
 std::vector<MutOp> RandomBatch(DagView* probe, Rng* rng, uint64_t uid_base) {
   std::vector<MutOp> ops;
   size_t count = 1 + rng->Below(8);
   for (size_t k = 0; k < count; ++k) {
     std::vector<NodeId> live = probe->LiveNodes();
+    const uint64_t uid = uid_base + 10 * k;
     double roll = rng->NextDouble();
-    if (roll < 0.35) {
-      // Fresh node wired under a random live parent (sometimes a short
-      // chain, exercising multi-entry insert windows).
-      Tuple attr = {Value::Int(static_cast<int64_t>(uid_base + k))};
-      MutOp add;
-      add.kind = MutOp::Kind::kAddNode;
-      add.type = "n";
-      add.attr = attr;
-      NodeId id = probe->GetOrAddNode(add.type, add.attr);
-      ops.push_back(std::move(add));
-      MutOp edge;
-      edge.kind = MutOp::Kind::kAddEdge;
-      edge.u = live[rng->Below(live.size())];
-      edge.v = id;
-      probe->AddEdge(edge.u, edge.v);
-      ops.push_back(edge);
+    if (roll < 0.25) {
+      // Fresh node wired under a random live parent.
+      NodeId id = AddFreshNode(probe, &ops, uid);
+      AddRecordedEdge(probe, &ops, live[rng->Below(live.size())], id);
+    } else if (roll < 0.35) {
+      // Fresh nodes never connected: an unanchored parent with a fresh
+      // child and an edge into an existing node, which must survive.
+      NodeId top = AddFreshNode(probe, &ops, uid);
+      NodeId below = AddFreshNode(probe, &ops, uid + 1);
+      AddRecordedEdge(probe, &ops, top, below);
+      NodeId old = live[rng->Below(live.size())];
+      if (old != probe->root()) AddRecordedEdge(probe, &ops, top, old);
+    } else if (roll < 0.45) {
+      // A single-parent chain under a random live parent (short multi-
+      // entry insert windows; a later round may cut above it).
+      NodeId at = live[rng->Below(live.size())];
+      size_t len = 2 + rng->Below(3);
+      for (size_t i = 0; i < len; ++i) {
+        NodeId id = AddFreshNode(probe, &ops, uid + i);
+        AddRecordedEdge(probe, &ops, at, id);
+        at = id;
+      }
     } else if (roll < 0.6) {
       // Edge between existing nodes, skipped when it would close a cycle.
       NodeId u = live[rng->Below(live.size())];
@@ -89,24 +141,36 @@ std::vector<MutOp> RandomBatch(DagView* probe, Rng* rng, uint64_t uid_base) {
       if (u == v || probe->HasEdge(u, v)) continue;
       Reachability naive = Reachability::ComputeNaive(*probe);
       if (v == u || naive.IsAncestor(v, u) || v == probe->root()) continue;
-      MutOp edge;
-      edge.kind = MutOp::Kind::kAddEdge;
-      edge.u = u;
-      edge.v = v;
-      probe->AddEdge(u, v);
-      ops.push_back(edge);
+      AddRecordedEdge(probe, &ops, u, v);
+    } else if (roll < 0.7) {
+      // Detach a node from one of several parents: it survives.
+      std::vector<NodeId> shared;
+      for (NodeId v : live) {
+        if (probe->parents(v).size() >= 2) shared.push_back(v);
+      }
+      if (shared.empty()) continue;
+      NodeId v = shared[rng->Below(shared.size())];
+      const std::vector<NodeId>& ps = probe->parents(v);
+      RemoveRecordedEdge(probe, &ops, ps[rng->Below(ps.size())], v);
+    } else if (roll < 0.8) {
+      // Cut above a single-parent chain: all of it is collected.
+      std::vector<NodeId> heads;
+      for (NodeId v : live) {
+        if (v != probe->root() && !probe->children(v).empty() &&
+            HeadsSingleParentChain(*probe, v)) {
+          heads.push_back(v);
+        }
+      }
+      if (heads.empty()) continue;
+      NodeId v = heads[rng->Below(heads.size())];
+      RemoveRecordedEdge(probe, &ops, probe->parents(v)[0], v);
     } else {
       // Remove a random existing edge (possibly orphaning a region, which
       // both strategies must garbage-collect identically).
       NodeId u = live[rng->Below(live.size())];
       if (probe->children(u).empty()) continue;
       NodeId v = probe->children(u)[rng->Below(probe->children(u).size())];
-      MutOp edge;
-      edge.kind = MutOp::Kind::kRemoveEdge;
-      edge.u = u;
-      edge.v = v;
-      EXPECT_TRUE(probe->RemoveEdge(u, v).ok());
-      ops.push_back(edge);
+      RemoveRecordedEdge(probe, &ops, u, v);
     }
   }
   return ops;
@@ -147,9 +211,16 @@ TEST(MaintenanceEngineFuzz, IncrementalMergeMatchesFullRebuild) {
 
       std::string ctx = "seed " + std::to_string(seed) + " round " +
                         std::to_string(round);
-      // (a) Identical view after identical mutations + GC.
+      // (a) Identical view after identical mutations + GC, collected in
+      // the same order (the region GC removes in id order, like the
+      // rebuild's sweep).
       ASSERT_EQ(inc_dag.CanonicalEdges(), full_dag.CanonicalEdges()) << ctx;
       ASSERT_EQ(inc_dag.num_nodes(), full_dag.num_nodes()) << ctx;
+      ASSERT_EQ(inc_report.delta.removed_nodes,
+                full_report.delta.removed_nodes)
+          << ctx;
+      ASSERT_EQ(inc_report.delta.orphan_edges, full_report.delta.orphan_edges)
+          << ctx;
       // (b) Full-matrix compare: merged M == rebuilt M == naive oracle.
       ASSERT_TRUE(inc_engine.reach() == full_engine.reach()) << ctx;
       ASSERT_TRUE(inc_engine.reach() == Reachability::ComputeNaive(inc_dag))
@@ -169,6 +240,73 @@ TEST(MaintenanceEngineFuzz, IncrementalMergeMatchesFullRebuild) {
       probe = inc_dag;
     }
   }
+}
+
+TEST(MaintenanceEngineFuzz, RegionGcWindowMatchesFullRebuild) {
+  // One window holding each GC case at once, on two identical views:
+  //   r -> a -> s, r -> s, s -> t   (s keeps r when (a, s) goes)
+  //   r -> c1 -> c2 -> c3           (cut at (r, c1): the chain goes)
+  //   r -> o                        (o gains an edge from an orphan)
+  // plus fresh f1 -> f2, f1 -> o never connected to the root.
+  auto build = [](DagView* dag) {
+    NodeId r = dag->GetOrAddNode("r", {});
+    dag->SetRoot(r);
+    for (const char* name : {"a", "s", "t", "c1", "c2", "c3", "o"}) {
+      dag->GetOrAddNode(name, {});
+    }
+    auto id = [dag](const char* name) { return dag->FindNode(name, {}); };
+    dag->AddEdge(r, id("a"));
+    dag->AddEdge(id("a"), id("s"));
+    dag->AddEdge(r, id("s"));
+    dag->AddEdge(id("s"), id("t"));
+    dag->AddEdge(r, id("c1"));
+    dag->AddEdge(id("c1"), id("c2"));
+    dag->AddEdge(id("c2"), id("c3"));
+    dag->AddEdge(r, id("o"));
+  };
+  auto window = [](DagView* dag) {
+    auto id = [dag](const char* name) { return dag->FindNode(name, {}); };
+    ASSERT_TRUE(dag->RemoveEdge(id("a"), id("s")).ok());
+    ASSERT_TRUE(dag->RemoveEdge(dag->root(), id("c1")).ok());
+    NodeId f1 = dag->GetOrAddNode("f1", {});
+    NodeId f2 = dag->GetOrAddNode("f2", {});
+    dag->AddEdge(f1, f2);
+    dag->AddEdge(f1, id("o"));
+  };
+  DagView inc_dag, full_dag;
+  build(&inc_dag);
+  build(&full_dag);
+  MaintenanceEngine inc_engine, full_engine;
+  ASSERT_TRUE(inc_engine.Rebuild(inc_dag).ok());
+  ASSERT_TRUE(full_engine.Rebuild(full_dag).ok());
+  window(&inc_dag);
+  window(&full_dag);
+
+  MaintenanceEngine::BatchOptions inc_opts, full_opts;
+  inc_opts.strategy = MaintenanceStrategy::kIncrementalMerge;
+  full_opts.strategy = MaintenanceStrategy::kFullRebuild;
+  MaintenanceEngine::BatchReport inc_report, full_report;
+  ASSERT_TRUE(inc_engine.MaintainBatch(&inc_dag, inc_opts, &inc_report).ok());
+  ASSERT_TRUE(
+      full_engine.MaintainBatch(&full_dag, full_opts, &full_report).ok());
+  ASSERT_EQ(inc_report.used, MaintenanceStrategy::kIncrementalMerge);
+
+  auto alive = [&inc_dag](const char* name) {
+    return inc_dag.FindNode(name, {}) != kInvalidNode;
+  };
+  EXPECT_TRUE(alive("s"));
+  EXPECT_TRUE(alive("t"));
+  EXPECT_TRUE(alive("o"));
+  for (const char* gone : {"c1", "c2", "c3", "f1", "f2"}) {
+    EXPECT_FALSE(alive(gone)) << gone;
+  }
+  EXPECT_EQ(inc_report.delta.removed_nodes.size(), 5u);
+  EXPECT_EQ(inc_report.delta.removed_nodes, full_report.delta.removed_nodes);
+  EXPECT_EQ(inc_report.delta.orphan_edges, full_report.delta.orphan_edges);
+  EXPECT_EQ(inc_dag.CanonicalEdges(), full_dag.CanonicalEdges());
+  EXPECT_TRUE(inc_engine.reach() == full_engine.reach());
+  EXPECT_TRUE(inc_engine.reach() == Reachability::ComputeNaive(inc_dag));
+  EXPECT_EQ(inc_engine.topo().order(), full_engine.topo().order());
 }
 
 // ---------------------------------------------------------------------------

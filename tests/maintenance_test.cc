@@ -2,7 +2,7 @@
 
 #include <unordered_set>
 
-#include "src/dag/maintenance.h"
+#include "src/dag/maintenance_engine.h"
 #include "tests/test_util.h"
 
 namespace xvu {
@@ -10,7 +10,8 @@ namespace {
 
 using testing_util::RandomDag;
 
-/// Recompute-from-scratch oracle: M and L of the current DAG.
+/// Recompute-from-scratch oracle: M and L of the current DAG. The merge
+/// re-derives L with the same Kahn pass, so L must match bit for bit.
 void ExpectStructuresMatchRecompute(const DagView& dag,
                                     const Reachability& m,
                                     const TopoOrder& topo,
@@ -20,6 +21,7 @@ void ExpectStructuresMatchRecompute(const DagView& dag,
   Reachability fresh_m = Reachability::Compute(dag, *fresh_topo);
   EXPECT_TRUE(m == fresh_m) << context << ": reachability diverged";
   EXPECT_TRUE(topo.Check(dag).ok()) << context << ": topo order invalid";
+  EXPECT_EQ(topo.order(), fresh_topo->order()) << context;
 }
 
 /// Attaches a synthetic "published subtree" of `k` new nodes to `dag`:
@@ -50,12 +52,23 @@ std::pair<NodeId, std::vector<NodeId>> AttachSubtree(DagView* dag, size_t k,
   return {fresh.empty() ? kInvalidNode : fresh[0], fresh};
 }
 
-TEST(MaintainInsert, MatchesRecomputeOnRandomScenarios) {
+/// One incremental-merge pass over everything `dag` journaled since the
+/// engine's last pass.
+MaintenanceEngine::BatchReport Merge(MaintenanceEngine* engine, DagView* dag) {
+  MaintenanceEngine::BatchOptions options;
+  options.strategy = MaintenanceStrategy::kIncrementalMerge;
+  MaintenanceEngine::BatchReport report;
+  Status st = engine->MaintainBatch(dag, options, &report);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(report.used, MaintenanceStrategy::kIncrementalMerge);
+  return report;
+}
+
+TEST(MergeInsert, MatchesRecomputeOnRandomScenarios) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     DagView dag = RandomDag(80, 0.35, seed);
-    auto topo = TopoOrder::Compute(dag);
-    ASSERT_TRUE(topo.ok());
-    Reachability m = Reachability::Compute(dag, *topo);
+    MaintenanceEngine engine;
+    ASSERT_TRUE(engine.Rebuild(dag).ok());
     Rng rng(seed * 31);
 
     auto [sroot, fresh] = AttachSubtree(&dag, 1 + rng.Below(12), &rng);
@@ -69,30 +82,25 @@ TEST(MaintainInsert, MatchesRecomputeOnRandomScenarios) {
       if (cone_set.count(v) == 0 && rng.Chance(0.1)) targets.push_back(v);
     }
     if (targets.empty()) targets.push_back(dag.root());
-    std::vector<NodeId> connected;
-    for (NodeId u : targets) {
-      if (dag.AddEdge(u, sroot)) connected.push_back(u);
-    }
+    for (NodeId u : targets) dag.AddEdge(u, sroot);
 
-    MaintenanceDelta delta;
-    ASSERT_TRUE(MaintainInsert(dag, sroot, fresh, connected, &m, &*topo,
-                               &delta)
-                    .ok());
-    ExpectStructuresMatchRecompute(dag, m, *topo,
+    MaintenanceEngine::BatchReport report = Merge(&engine, &dag);
+    ExpectStructuresMatchRecompute(dag, engine.reach(), engine.topo(),
                                    "insert seed " + std::to_string(seed));
+    EXPECT_TRUE(report.delta.removed_nodes.empty());
     // Every reported ∆M pair is actually present.
-    for (const auto& [a, d] : delta.m_inserted) {
-      EXPECT_TRUE(m.IsAncestor(a, d));
+    for (const auto& [a, d] : report.delta.m_inserted) {
+      EXPECT_TRUE(engine.reach().IsAncestor(a, d));
     }
   }
 }
 
-TEST(MaintainInsert, SharedSubtreeRootAlreadyPresent) {
+TEST(MergeInsert, SharedSubtreeRootAlreadyPresent) {
   // Inserting an existing node under a new parent (pure connect edge).
   DagView dag = RandomDag(40, 0.3, 3);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
+  const Reachability& m = engine.reach();
   // Find u, v with v not ancestor-or-self of u and no edge (u, v).
   NodeId u = kInvalidNode, v = kInvalidNode;
   for (NodeId a : dag.LiveNodes()) {
@@ -107,17 +115,16 @@ TEST(MaintainInsert, SharedSubtreeRootAlreadyPresent) {
   }
   ASSERT_NE(u, kInvalidNode);
   dag.AddEdge(u, v);
-  MaintenanceDelta delta;
-  ASSERT_TRUE(MaintainInsert(dag, v, {}, {u}, &m, &*topo, &delta).ok());
-  ExpectStructuresMatchRecompute(dag, m, *topo, "shared-root connect");
+  Merge(&engine, &dag);
+  ExpectStructuresMatchRecompute(dag, engine.reach(), engine.topo(),
+                                 "shared-root connect");
 }
 
-TEST(MaintainDelete, MatchesRecomputeOnRandomScenarios) {
+TEST(MergeDelete, MatchesRecomputeOnRandomScenarios) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     DagView dag = RandomDag(80, 0.35, seed + 100);
-    auto topo = TopoOrder::Compute(dag);
-    ASSERT_TRUE(topo.ok());
-    Reachability m = Reachability::Compute(dag, *topo);
+    MaintenanceEngine engine;
+    ASSERT_TRUE(engine.Rebuild(dag).ok());
     Rng rng(seed * 17);
 
     // Pick non-root targets and drop a random subset of their incoming
@@ -138,19 +145,18 @@ TEST(MaintainDelete, MatchesRecomputeOnRandomScenarios) {
       }
     }
 
-    MaintenanceDelta delta;
-    ASSERT_TRUE(MaintainDelete(&dag, targets, &m, &*topo, &delta).ok());
-    ExpectStructuresMatchRecompute(dag, m, *topo,
+    MaintenanceEngine::BatchReport report = Merge(&engine, &dag);
+    ExpectStructuresMatchRecompute(dag, engine.reach(), engine.topo(),
                                    "delete seed " + std::to_string(seed));
 
     // After GC, everything alive is reachable from the root.
     std::vector<NodeId> reachable = CollectDescOrSelf(dag, {dag.root()});
     EXPECT_EQ(reachable.size(), dag.num_nodes());
-    for (NodeId n : delta.removed_nodes) EXPECT_FALSE(dag.alive(n));
+    for (NodeId n : report.delta.removed_nodes) EXPECT_FALSE(dag.alive(n));
   }
 }
 
-TEST(MaintainDelete, CascadingCollection) {
+TEST(MergeDelete, CascadingCollection) {
   // r -> a -> b -> c; deleting edge (r, a) collects the whole chain.
   DagView dag;
   NodeId r = dag.GetOrAddNode("r", {});
@@ -161,20 +167,18 @@ TEST(MaintainDelete, CascadingCollection) {
   dag.AddEdge(r, a);
   dag.AddEdge(a, b);
   dag.AddEdge(b, c);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
 
   ASSERT_TRUE(dag.RemoveEdge(r, a).ok());
-  MaintenanceDelta delta;
-  ASSERT_TRUE(MaintainDelete(&dag, {a}, &m, &*topo, &delta).ok());
-  EXPECT_EQ(delta.removed_nodes.size(), 3u);
-  EXPECT_EQ(delta.orphan_edges.size(), 2u);  // (a,b), (b,c)
+  MaintenanceEngine::BatchReport report = Merge(&engine, &dag);
+  EXPECT_EQ(report.delta.removed_nodes.size(), 3u);
+  EXPECT_EQ(report.delta.orphan_edges.size(), 2u);  // (a,b), (b,c)
   EXPECT_EQ(dag.num_nodes(), 1u);
-  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(engine.reach().size(), 0u);
 }
 
-TEST(MaintainDelete, SharedSubtreeSurvives) {
+TEST(MergeDelete, SharedSubtreeSurvives) {
   // Example 6's shape: the CS320 subtree is shared; deleting it from one
   // parent keeps it alive under the other and only removes reachability
   // pairs along the severed path.
@@ -190,35 +194,31 @@ TEST(MaintainDelete, SharedSubtreeSurvives) {
   dag.AddEdge(p1, shared);
   dag.AddEdge(p2, shared);
   dag.AddEdge(shared, leaf);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
+  const Reachability& m = engine.reach();
   EXPECT_TRUE(m.IsAncestor(p1, leaf));
 
   ASSERT_TRUE(dag.RemoveEdge(p1, shared).ok());
-  MaintenanceDelta delta;
-  ASSERT_TRUE(MaintainDelete(&dag, {shared}, &m, &*topo, &delta).ok());
-  EXPECT_TRUE(delta.removed_nodes.empty());
+  MaintenanceEngine::BatchReport report = Merge(&engine, &dag);
+  EXPECT_TRUE(report.delta.removed_nodes.empty());
   EXPECT_TRUE(dag.alive(shared));
   EXPECT_FALSE(m.IsAncestor(p1, shared));
   EXPECT_FALSE(m.IsAncestor(p1, leaf));
   EXPECT_TRUE(m.IsAncestor(p2, leaf));  // the other path is intact
-  ExpectStructuresMatchRecompute(dag, m, *topo, "shared survive");
+  ExpectStructuresMatchRecompute(dag, m, engine.topo(), "shared survive");
 }
 
-TEST(MaintainDelete, RootNeverCollected) {
+TEST(MergeDelete, RootNeverCollected) {
   DagView dag;
   NodeId r = dag.GetOrAddNode("r", {});
   NodeId a = dag.GetOrAddNode("a", {});
   dag.SetRoot(r);
   dag.AddEdge(r, a);
-  auto topo = TopoOrder::Compute(dag);
-  ASSERT_TRUE(topo.ok());
-  Reachability m = Reachability::Compute(dag, *topo);
+  MaintenanceEngine engine;
+  ASSERT_TRUE(engine.Rebuild(dag).ok());
   ASSERT_TRUE(dag.RemoveEdge(r, a).ok());
-  MaintenanceDelta delta;
-  // Target set includes the root's cone via a: root must survive.
-  ASSERT_TRUE(MaintainDelete(&dag, {a}, &m, &*topo, &delta).ok());
+  Merge(&engine, &dag);
   EXPECT_TRUE(dag.alive(r));
   EXPECT_EQ(dag.num_nodes(), 1u);
 }

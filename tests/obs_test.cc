@@ -15,15 +15,16 @@ namespace obs {
 namespace {
 
 // The quantile contract under test: Quantile(q) resolves the rank-⌈q·n⌉
-// recording to its bucket's upper bound, so the expected value for a
-// sorted oracle vector is computable without touching histogram
-// internals.
+// recording to its bucket's upper bound, clamped to the largest recording,
+// so the expected value for a sorted oracle vector is computable without
+// touching histogram internals.
 uint64_t OracleQuantile(const std::vector<uint64_t>& sorted, double q) {
   uint64_t rank =
       static_cast<uint64_t>(std::ceil(q * static_cast<double>(sorted.size())));
   if (rank < 1) rank = 1;
-  return Histogram::BucketUpperBound(
-      Histogram::BucketIndex(sorted[rank - 1]));
+  return std::min(
+      Histogram::BucketUpperBound(Histogram::BucketIndex(sorted[rank - 1])),
+      sorted.back());
 }
 
 TEST(HistogramBuckets, SmallValuesAreExact) {
@@ -46,7 +47,9 @@ TEST(HistogramBuckets, IndexIsMonotoneAndInverseOfUpperBound) {
     EXPECT_GE(upper, v);
     // The upper bound is the largest value still mapping to idx.
     EXPECT_EQ(Histogram::BucketIndex(upper), idx);
-    if (upper != ~0ull) EXPECT_GT(Histogram::BucketIndex(upper + 1), idx);
+    if (upper != ~0ull) {
+      EXPECT_GT(Histogram::BucketIndex(upper + 1), idx);
+    }
   }
 }
 
@@ -86,6 +89,23 @@ TEST(Histogram, QuantilesMatchSortedVectorOracle) {
           << "n=" << n << " q=" << q;
     }
   }
+}
+
+TEST(Histogram, QuantilesNeverExceedTheRecordedMax) {
+  // 1000 lands in the bucket [960, 1023]: unclamped, every quantile that
+  // resolves to it would report 1023, past anything recorded.
+  ASSERT_GT(Histogram::BucketUpperBound(Histogram::BucketIndex(1000)), 1000u);
+  Histogram h;
+  std::vector<uint64_t> vals = {3, 700, 990, 1000, 1000};
+  for (uint64_t v : vals) h.Record(v);
+  HistogramSnapshot s = h.Snapshot();
+  ASSERT_EQ(s.max, 1000u);
+  for (double q : {0.2, 0.5, 0.6, 0.9, 1.0}) {
+    EXPECT_EQ(s.Quantile(q), OracleQuantile(vals, q)) << "q=" << q;
+    EXPECT_LE(s.Quantile(q), s.max) << "q=" << q;
+  }
+  EXPECT_EQ(s.P50(), 1000u);  // 990's bucket bound, clamped
+  EXPECT_EQ(s.Quantile(1.0), 1000u);
 }
 
 TEST(Histogram, EmptySnapshotIsAllZero) {

@@ -346,5 +346,26 @@ TEST(Pipeline, TextualStatementsViaAdd) {
   ExpectConsistent(*sys);
 }
 
+TEST(Pipeline, SingleOpsOnDistinctPathsKeepTheCacheBounded) {
+  // Single ops run as a batch of one, so each stores its path's traced
+  // evaluation in the shared cache. Every write compacts the cache to its
+  // bound before its own store, so 64 distinct paths never leave more
+  // than kDefaultMaxEntries + 1 entries behind.
+  auto sys = MakeSystem();
+  for (int i = 0; i < 64; ++i) {
+    const std::string ssn = "N" + std::to_string(100 + i);
+    const std::string path =
+        "//course[cno=\"CS650\"]/takenBy[not(student[ssn=\"" + ssn + "\"])]";
+    Status st = sys->ApplyInsert("student", {S(ssn.c_str()), S("Bounded")},
+                                 P(path));
+    ASSERT_TRUE(st.ok()) << path << ": " << st.ToString();
+    EXPECT_EQ(sys->last_stats().batch_ops, 1u);
+    ASSERT_LE(sys->eval_cache().size(),
+              PathEvalCache::kDefaultMaxEntries + 1)
+        << "after op " << i;
+  }
+  ExpectConsistent(*sys);
+}
+
 }  // namespace
 }  // namespace xvu
