@@ -2,9 +2,10 @@
 //
 // Part A — solver ablation on hard random 3-SAT at the phase-transition
 // ratio m/n = 4.26: the old recursive DPLL (kept as the correctness
-// oracle) vs the watched-literal CDCL vs the full portfolio. Self-
-// verifying: all solvers must agree on every instance's verdict, sat
-// models must satisfy, and at the largest size the old DPLL completed the
+// oracle) vs the watched-literal CDCL vs SolvePortfolio at its default
+// (CDCL alone, so portfolio_s tracks cdcl_s). Self-verifying: all
+// solvers must agree on every instance's verdict, sat models must
+// satisfy, and at the largest size the old DPLL completed the
 // CDCL speedup must be at least XVU_BENCH_SAT_MIN_SPEEDUP (default 5; 0
 // under ctest where timing is unreliable). The DPLL column is timed
 // instance-by-instance and cut off once its cumulative time passes ~5s

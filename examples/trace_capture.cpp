@@ -1,10 +1,10 @@
 // Captures a Chrome trace of the pipeline under concurrency: a 4-worker
-// ApplyBatch racing concurrent MVCC snapshot readers, followed by a
-// threaded SAT portfolio run on a random 3-SAT instance. Tracing is
-// enabled through UpdateSystem::Options::obs, so every span the pipeline,
-// the worker pool, the portfolio lanes, and the snapshot readers record
-// lands in the per-thread rings; the export is trace-event JSON loadable
-// in chrome://tracing or https://ui.perfetto.dev.
+// ApplyBatch racing concurrent MVCC snapshot readers, followed by a SAT
+// run (WalkSAT, then CDCL if WalkSAT gives up) on a random 3-SAT
+// instance. Tracing is enabled through UpdateSystem::Options::obs, so
+// every span the pipeline, the worker pool, the solvers, and the snapshot
+// readers record lands in the per-thread rings; the export is trace-event
+// JSON loadable in chrome://tracing or https://ui.perfetto.dev.
 //
 // Build & run:
 //   cmake -B build && cmake --build build -j
@@ -136,15 +136,14 @@ int main(int argc, char** argv) {
   std::printf("batch applied: %zu ops, %zu concurrent snapshot reads\n",
               batch.size(), reads.load());
 
-  // 4. A threaded portfolio run: inline_below_clauses=0 forces the lane
-  //    threads even on this small instance, so the WalkSAT lanes and the
-  //    CDCL lane appear as separate tids racing in the trace.
+  // 4. The paper's solver configuration on the calling thread: a
+  //    sat.lane.walksat span, then sat.lane.cdcl if WalkSAT gave up.
   PortfolioOptions popts;
-  popts.inline_below_clauses = 0;
+  popts.walksat_lanes = 1;
   PortfolioStats pstats;
   SolvePortfolio(Random3Sat(40, 4.0, 3000), popts, &pstats);
-  std::printf("portfolio: %zu lanes, winner %d, threaded=%s\n", pstats.lanes,
-              pstats.winner_lane, pstats.threaded ? "yes" : "no");
+  std::printf("solver: winner %d (0 = WalkSAT, 1 = CDCL)\n",
+              pstats.winner_lane);
 
   // 5. Export everything the rings buffered.
   const size_t events = obs::TraceEventCount();

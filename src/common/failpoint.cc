@@ -156,7 +156,6 @@ const std::vector<std::string>& FailPoints::AllSites() {
       failpoints::kJournalAppend,
       failpoints::kMaintainMerge,
       failpoints::kThreadPoolSpawn,
-      failpoints::kPortfolioSpawn,
       failpoints::kStorageWrite,
       failpoints::kStorageRename,
       failpoints::kStorageLoad,

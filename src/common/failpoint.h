@@ -125,10 +125,9 @@ inline constexpr char kBatchReclaim[] = "batch.reclaim";
 inline constexpr char kJournalAppend[] = "journal.append";
 // Maintenance engine internals (maintenance_engine.cc).
 inline constexpr char kMaintainMerge[] = "maintain.merge";
-// Thread creation (thread_pool.cc, sat/portfolio.cc). These sites use
-// XVU_FAIL_POINT_HIT: firing simulates std::thread throwing.
+// Thread creation (thread_pool.cc). This site uses XVU_FAIL_POINT_HIT:
+// firing simulates std::thread throwing.
 inline constexpr char kThreadPoolSpawn[] = "thread_pool.spawn";
-inline constexpr char kPortfolioSpawn[] = "portfolio.spawn";
 // XVUR storage (relational/storage.cc).
 inline constexpr char kStorageWrite[] = "storage.write";
 inline constexpr char kStorageRename[] = "storage.rename";

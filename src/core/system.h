@@ -94,13 +94,13 @@ struct UpdateStats {
   size_t symbolic_candidates = 0;
   size_t dedup_ops = 0;
 
-  /// SAT-portfolio counters (all zero when used_sat is false). Aggregated
-  /// over every lane the insert translation's solver ran:
-  /// `sat_propagations`/`sat_conflicts`/`sat_learned_clauses` from the
-  /// CDCL lane, `sat_flips` from the WalkSAT lanes. `sat_winner_lane` is
-  /// the portfolio's fixed-priority winner (0..K-1 = WalkSAT lane, K =
-  /// CDCL lane, -1 = none / legacy chain) and `sat_seconds` the solver
-  /// wall time inside translate_seconds.
+  /// Insert-translation solver counters (all zero when used_sat is
+  /// false): `sat_propagations`/`sat_conflicts`/`sat_learned_clauses`
+  /// from CDCL, `sat_flips` from WalkSAT (only when
+  /// `insert.portfolio.walksat_lanes` >= 1). `sat_winner_lane` is
+  /// PortfolioStats::winner_lane (0 = WalkSAT, walksat_lanes = CDCL, -1 =
+  /// none) and `sat_seconds` the solver wall time inside
+  /// translate_seconds.
   size_t sat_propagations = 0;
   size_t sat_conflicts = 0;
   size_t sat_learned_clauses = 0;
@@ -145,7 +145,7 @@ class UpdateSystem {
     /// Wall-clock budget per ApplyInsert/ApplyDelete/ApplyBatch call;
     /// 0 = unbounded. On expiry the op rejects with kDeadlineExceeded
     /// after a full rollback (never partial state); the deadline is also
-    /// threaded into the SAT portfolio and the branch-and-bound cover,
+    /// threaded into the SAT solver and the branch-and-bound cover,
     /// whose anytime search degrades to its incumbent instead.
     double op_timeout_seconds = 0;
     /// Observability switches, applied process-wide at Create/Initialize

@@ -34,6 +34,14 @@ Status MaintenanceEngine::Rebuild(const DagView& dag) {
 
 namespace {
 
+/// kAuto cost model: incremental merge is chosen when the journal window
+/// is covered and its length is at most max(kIncrementalJournalFloor,
+/// kIncrementalJournalRatio · |V|); beyond that the affected region
+/// approaches the whole view and the wholesale rebuild's better constants
+/// win.
+constexpr double kIncrementalJournalRatio = 0.25;
+constexpr size_t kIncrementalJournalFloor = 64;
+
 /// Ancestors-first topological order of the subgraph induced by `nodes`:
 /// every in-set parent precedes its in-set children, so the Fig.4
 /// recurrence (a node's ancestor set from its parents') can be replayed
@@ -283,8 +291,8 @@ Status MaintenanceEngine::MaintainBatchImpl(DagView* dag,
   MaintenanceStrategy chosen = options.strategy;
   if (chosen == MaintenanceStrategy::kAuto) {
     size_t budget = std::max(
-        options.incremental_journal_floor,
-        static_cast<size_t>(options.incremental_journal_ratio *
+        kIncrementalJournalFloor,
+        static_cast<size_t>(kIncrementalJournalRatio *
                             static_cast<double>(dag->num_nodes())));
     chosen = covered && pending <= budget
                  ? MaintenanceStrategy::kIncrementalMerge

@@ -49,12 +49,6 @@ class MaintenanceEngine {
  public:
   struct BatchOptions {
     MaintenanceStrategy strategy = MaintenanceStrategy::kAuto;
-    /// kAuto cost model: incremental merge is chosen when the journal
-    /// window is covered and its length is at most
-    /// max(floor, ratio · |V|); beyond that the affected region approaches
-    /// the whole view and the wholesale rebuild's better constants win.
-    double incremental_journal_ratio = 0.25;
-    size_t incremental_journal_floor = 64;
   };
 
   struct BatchReport {

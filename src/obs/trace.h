@@ -51,7 +51,7 @@ void TraceComplete(const char* name, uint64_t start_ns, uint64_t dur_ns,
                    const char* sarg_value = nullptr);
 
 /// Appends an instant ('i') event at now. Used for fail-point firings,
-/// deadline expiries, portfolio cancellations.
+/// deadline expiries.
 void TraceInstant(const char* name, const char* arg_name = nullptr,
                   uint64_t arg_value = 0, const char* sarg_name = nullptr,
                   const char* sarg_value = nullptr);

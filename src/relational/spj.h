@@ -72,9 +72,6 @@ struct SpjExecOptions {
   /// Serve local equality selections and small-outer joins through the
   /// tables' lazy per-column indexes (Table::EnsureColumnIndex).
   bool use_column_indexes = true;
-  /// Greedy join-order pass: start from the most selective occurrence and
-  /// grow along equi-links. Off = original FROM order.
-  bool reorder_joins = true;
   /// Use per-binding index probes instead of a build/probe pass when
   /// |bound side| * index_probe_ratio <= |candidate side|.
   size_t index_probe_ratio = 8;

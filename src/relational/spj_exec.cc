@@ -152,40 +152,36 @@ Result<std::vector<SpjQuery::WitnessedRow>> SpjQuery::EvalPinnedHashJoin(
   std::vector<size_t> order;
   order.reserve(T);
   std::vector<uint8_t> planned(T, 0);
-  if (opts.reorder_joins) {
-    size_t first = pinned_pos < T ? pinned_pos : 0;
-    if (pinned_pos >= T) {
-      for (size_t pos = 1; pos < T; ++pos) {
-        if (est[pos] < est[first]) first = pos;
-      }
+  size_t first = pinned_pos < T ? pinned_pos : 0;
+  if (pinned_pos >= T) {
+    for (size_t pos = 1; pos < T; ++pos) {
+      if (est[pos] < est[first]) first = pos;
     }
-    order.push_back(first);
-    planned[first] = 1;
-    while (order.size() < T) {
-      size_t best = SIZE_MAX;
-      bool best_linked = false;
-      for (size_t pos = 0; pos < T; ++pos) {
-        if (planned[pos]) continue;
-        bool linked = false;
-        for (const SpjCondition* c : cross) {
-          if (c->kind != SpjCondition::Kind::kColCol) continue;
-          size_t a = c->lhs.table_pos, b = c->rhs.table_pos;
-          if ((a == pos && planned[b]) || (b == pos && planned[a])) {
-            linked = true;
-            break;
-          }
-        }
-        if (best == SIZE_MAX || (linked && !best_linked) ||
-            (linked == best_linked && est[pos] < est[best])) {
-          best = pos;
-          best_linked = linked;
+  }
+  order.push_back(first);
+  planned[first] = 1;
+  while (order.size() < T) {
+    size_t best = SIZE_MAX;
+    bool best_linked = false;
+    for (size_t pos = 0; pos < T; ++pos) {
+      if (planned[pos]) continue;
+      bool linked = false;
+      for (const SpjCondition* c : cross) {
+        if (c->kind != SpjCondition::Kind::kColCol) continue;
+        size_t a = c->lhs.table_pos, b = c->rhs.table_pos;
+        if ((a == pos && planned[b]) || (b == pos && planned[a])) {
+          linked = true;
+          break;
         }
       }
-      order.push_back(best);
-      planned[best] = 1;
+      if (best == SIZE_MAX || (linked && !best_linked) ||
+          (linked == best_linked && est[pos] < est[best])) {
+        best = pos;
+        best_linked = linked;
+      }
     }
-  } else {
-    for (size_t pos = 0; pos < T; ++pos) order.push_back(pos);
+    order.push_back(best);
+    planned[best] = 1;
   }
 
   // Candidate enumeration, lazy per occurrence: index-probe steps fill

@@ -254,12 +254,6 @@ class Cdcl {
     }
   }
 
-  bool Cancelled() {
-    return (opts_.cancel != nullptr &&
-            opts_.cancel->load(std::memory_order_relaxed)) ||
-           opts_.deadline.expired();
-  }
-
   const Cnf& cnf_;
   CdclOptions opts_;
   SatStats* stats_;
@@ -367,7 +361,7 @@ SatResult Cdcl::Solve() {
       cla_inc_ /= 0.999;
       continue;
     }
-    if (Cancelled() ||
+    if (opts_.deadline.expired() ||
         (opts_.max_conflicts > 0 && conflicts_total_ >= opts_.max_conflicts)) {
       res.kind = SatResult::Kind::kUnknown;
       return res;

@@ -1,7 +1,6 @@
 #ifndef XVU_SAT_CDCL_H_
 #define XVU_SAT_CDCL_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/common/deadline.h"
@@ -20,15 +19,11 @@ struct CdclOptions {
   size_t learnt_base = 4000;
   double learnt_growth = 0.1;
   /// Give up (kUnknown) after this many conflicts; 0 = no limit. The
-  /// portfolio leaves this 0 — its CDCL lane is the completeness anchor.
+  /// insert translation leaves this 0 — CDCL is its complete solver.
   uint64_t max_conflicts = 0;
-  /// Cooperative cancellation: polled every few hundred propagations;
-  /// when it reads true the solver returns kUnknown promptly. May be
-  /// null.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Wall-clock budget, polled at the same sites as `cancel`; expiry
-  /// returns kUnknown. Default infinite — the determinism guarantee
-  /// holds whenever the deadline never fires.
+  /// Wall-clock budget, polled once per search iteration; expiry returns
+  /// kUnknown. Default infinite — the determinism guarantee holds
+  /// whenever the deadline never fires.
   Deadline deadline;
 };
 
@@ -38,8 +33,8 @@ struct CdclOptions {
 /// deterministic (no wall-clock or randomness dependence): the same
 /// formula always yields the same verdict and model.
 ///
-/// Returns kSat with a model, kUnsat, or kUnknown only when cancelled or
-/// past `max_conflicts`.
+/// Returns kSat with a model, kUnsat, or kUnknown only past the deadline
+/// or `max_conflicts`.
 SatResult SolveCdcl(const Cnf& cnf, const CdclOptions& options = {},
                     SatStats* stats = nullptr);
 

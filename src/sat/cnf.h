@@ -46,8 +46,8 @@ class Cnf {
 };
 
 /// Counters a solver run fills in (shared by CDCL, WalkSAT and the
-/// portfolio, which aggregates its lanes' counters). All fields are
-/// deterministic for a deterministic solver configuration.
+/// portfolio, which sums the counters of the solvers it ran). All fields
+/// are deterministic for a deterministic solver configuration.
 struct SatStats {
   uint64_t propagations = 0;     ///< literals enqueued by unit propagation
   uint64_t conflicts = 0;        ///< conflicts analyzed (CDCL)

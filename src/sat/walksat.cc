@@ -94,7 +94,7 @@ struct WalkState {
 }  // namespace
 
 SatResult SolveWalkSat(const Cnf& cnf, const WalkSatOptions& options,
-                       SatStats* stats, const std::atomic<bool>* cancel) {
+                       SatStats* stats) {
   SatResult res;
   // Trivial edge cases.
   for (const auto& clause : cnf.clauses()) {
@@ -109,9 +109,7 @@ SatResult SolveWalkSat(const Cnf& cnf, const WalkSatOptions& options,
   for (uint32_t t = 0; t < options.max_tries; ++t) {
     st.Init(&rng);
     for (uint32_t f = 0; f < options.max_flips; ++f) {
-      if ((f & 255) == 0 &&
-          ((cancel != nullptr && cancel->load(std::memory_order_relaxed)) ||
-           options.deadline.expired())) {
+      if ((f & 255) == 0 && options.deadline.expired()) {
         res.kind = SatResult::Kind::kUnknown;
         return res;
       }

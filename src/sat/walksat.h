@@ -1,7 +1,6 @@
 #ifndef XVU_SAT_WALKSAT_H_
 #define XVU_SAT_WALKSAT_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/common/deadline.h"
@@ -17,8 +16,8 @@ struct WalkSatOptions {
   uint32_t max_flips = 100000;  ///< flips per try
   double noise = 0.5;           ///< probability of a random-walk move
   uint64_t seed = 42;
-  /// Wall-clock budget, polled with the cancellation token: on expiry
-  /// the run returns kUnknown like an exhausted flip budget. Default
+  /// Wall-clock budget, polled every 256 flips: on expiry the run
+  /// returns kUnknown like an exhausted flip budget. Default
   /// infinite — determinism for a given (cnf, options) holds whenever
   /// the deadline never fires.
   Deadline deadline;
@@ -29,14 +28,10 @@ struct WalkSatOptions {
 /// the paper reports the solver returning an assignment in 78% of its
 /// insertion workload).
 ///
-/// `stats` (optional) receives flip counts. `cancel` (optional) is a
-/// cooperative cancellation token, polled every few hundred flips: when a
-/// portfolio rival wins the race and sets it, the run returns kUnknown
-/// promptly instead of burning its remaining flip budget. The outcome for
-/// a given (cnf, options) is deterministic whenever the token never fires.
+/// `stats` (optional) receives flip counts. The outcome for a given
+/// (cnf, options) is deterministic whenever the deadline never fires.
 SatResult SolveWalkSat(const Cnf& cnf, const WalkSatOptions& options = {},
-                       SatStats* stats = nullptr,
-                       const std::atomic<bool>* cancel = nullptr);
+                       SatStats* stats = nullptr);
 
 }  // namespace xvu
 

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "src/common/thread_pool.h"
-#include "src/sat/cdcl.h"
 #include "src/sat/encoder.h"
 #include "src/sat/portfolio.h"
 #include "src/viewupdate/template_index.h"
@@ -424,8 +423,8 @@ struct JoinFrame {
   const EdgeViewInfo* info;
   size_t forced;
   /// The order the remaining occurrences (every one but `forced`) are
-  /// filled in: visit[depth] is a FROM position. FROM order, or the greedy
-  /// most-constrained-first order when options.reorder_occurrences is set.
+  /// filled in: visit[depth] is a FROM position, in VisitOrder's greedy
+  /// most-constrained-first order.
   std::vector<size_t> visit;
   /// fire[depth]: conditions whose endpoints are all filled once
   /// visit[depth] is assigned (the forced occupancy counts as filled from
@@ -445,25 +444,19 @@ struct JoinFrame {
 
 Status EmitCandidate(Translator* t, JoinFrame* f);
 
-/// The order JoinRec fills the non-forced occurrences in. Default: greedy
+/// The order JoinRec fills the non-forced occurrences in: greedy
 /// most-constrained-first — repeatedly take the occurrence narrowable
 /// through a condition against the already-placed set (a constant
 /// selection, an equi-link, or a shared parameter), smallest candidate
 /// set first; occurrences with no link come last (they cross-product).
-/// The enumeration visits the same combinations either way, so the set of
-/// side-effect conditions is order-independent; only enumeration order
-/// (and the clause order of the CNF built from it) changes.
+/// Any order enumerates the same combinations, so the set of side-effect
+/// conditions is order-independent; only the enumeration order (and the
+/// clause order of the CNF built from it) depends on it.
 std::vector<size_t> VisitOrder(const Translator& t, const SpjQuery& q,
                                size_t forced) {
   const size_t n = q.tables().size();
   std::vector<size_t> order;
   order.reserve(n - 1);
-  if (!t.options.reorder_occurrences) {
-    for (size_t pos = 0; pos < n; ++pos) {
-      if (pos != forced) order.push_back(pos);
-    }
-    return order;
-  }
   // Candidate-set size: base rows, plus the new templates this occurrence
   // may draw from (only occurrences after `forced` in FROM order do).
   auto est = [&](size_t occ) {
@@ -697,19 +690,12 @@ Status JoinRec(Translator* t, JoinFrame* f, size_t depth) {
   // have rejected every other template through the same condition, so the
   // pruned enumeration is result-identical but near-linear in |∆V|.
   if (occ > f->forced) {
-    if (t->options.use_template_index && have_narrow) {
-      for (size_t ti : t->tmpl_slots.Candidates(table, narrow_col,
-                                                narrow_val)) {
-        XVU_RETURN_NOT_OK(try_row(SymRow{nullptr, &t->templates[ti]}));
-      }
-    } else {
-      auto it = t->templates_by_table.find(table);
-      if (it != t->templates_by_table.end()) {
-        for (size_t ti : it->second) {
-          if (!t->templates[ti].is_new) continue;
-          XVU_RETURN_NOT_OK(try_row(SymRow{nullptr, &t->templates[ti]}));
-        }
-      }
+    std::vector<size_t> narrowed_tmpls;
+    if (have_narrow) {
+      narrowed_tmpls = t->tmpl_slots.Candidates(table, narrow_col, narrow_val);
+    }
+    for (size_t ti : have_narrow ? narrowed_tmpls : t->tmpl_slots.All(table)) {
+      XVU_RETURN_NOT_OK(try_row(SymRow{nullptr, &t->templates[ti]}));
     }
   }
   f->is_set[occ] = 0;
@@ -1080,29 +1066,12 @@ Result<InsertTranslation> TranslateGroupInsertion(
     out.used_sat = true;
     SatResult res;
     auto sat_t0 = std::chrono::steady_clock::now();
-    if (options.use_portfolio) {
-      PortfolioOptions popts = options.portfolio;
-      if (popts.deadline.infinite()) popts.deadline = options.deadline;
-      PortfolioStats pstats;
-      res = SolvePortfolio(enc.cnf(), popts, &pstats);
-      out.sat_stats = pstats.totals;
-      out.sat_winner_lane = pstats.winner_lane;
-    } else if (options.use_walksat) {
-      WalkSatOptions wopts = options.walksat;
-      if (wopts.deadline.infinite()) wopts.deadline = options.deadline;
-      res = SolveWalkSat(enc.cnf(), wopts, &out.sat_stats);
-      if (res.kind != SatResult::Kind::kSat && options.dpll_fallback) {
-        CdclOptions copts;
-        copts.deadline = options.deadline;
-        res = SolveCdcl(enc.cnf(), copts, &out.sat_stats);
-      }
-      RecordSatRunMetrics(out.sat_stats, -1);
-    } else {
-      CdclOptions copts;
-      copts.deadline = options.deadline;
-      res = SolveCdcl(enc.cnf(), copts, &out.sat_stats);
-      RecordSatRunMetrics(out.sat_stats, -1);
-    }
+    PortfolioOptions popts = options.portfolio;
+    if (popts.deadline.infinite()) popts.deadline = options.deadline;
+    PortfolioStats pstats;
+    res = SolvePortfolio(enc.cnf(), popts, &pstats);
+    out.sat_stats = pstats.totals;
+    out.sat_winner_lane = pstats.winner_lane;
     out.sat_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sat_t0)

@@ -1,7 +1,7 @@
 // Deadline plumbing and graceful-degradation tests: the Deadline type
 // itself, the CRC32C primitive backing the XVUR v2 format, deadline
-// expiry through the update pipeline and the solvers, and the two
-// thread-spawn degradation paths (worker pool, SAT portfolio).
+// expiry through the update pipeline and the solvers, and the worker
+// pool's thread-spawn degradation path.
 
 #include <gtest/gtest.h>
 
@@ -288,60 +288,32 @@ TEST(DeadlineDegradation, PartialThreadPoolSpawnKeepsSpawnedLanes) {
   EXPECT_EQ(sum.load(), 5050);
 }
 
-TEST(DeadlineDegradation, PortfolioDegradesToInlineOnSpawnFailure) {
-  // Big enough to take the threaded path (> inline_below_clauses).
-  Cnf cnf = HardRandomCnf(60, 200, 11);
-  PortfolioOptions opts;
-  opts.deterministic = true;
-
-  PortfolioStats clean_stats;
-  SatResult clean = SolvePortfolio(cnf, opts, &clean_stats);
-  ASSERT_TRUE(clean_stats.threaded);
-  ASSERT_FALSE(clean_stats.degraded_spawn);
-
-  FailPoints::Trigger t;
-  t.kind = FailPoints::TriggerKind::kAlways;
-  t.one_shot = false;
-  FailPoints::Instance().Arm(failpoints::kPortfolioSpawn, t);
-  PortfolioStats degraded_stats;
-  SatResult degraded = SolvePortfolio(cnf, opts, &degraded_stats);
-  FailPoints::Instance().DisarmAll();
-
-  EXPECT_TRUE(degraded_stats.degraded_spawn);
-  EXPECT_FALSE(degraded_stats.threaded);
-  // Deterministic mode: the degraded inline solve returns the identical
-  // result (same fixed-priority winner rule).
-  EXPECT_EQ(degraded.kind, clean.kind);
-  EXPECT_EQ(degraded.model, clean.model);
-  EXPECT_EQ(degraded_stats.winner_lane, clean_stats.winner_lane);
-}
-
-TEST(DeadlineDegradation, PortfolioDeadlineCapsEveryLane) {
+TEST(DeadlineDegradation, PortfolioDeadlineCapsBothSolvers) {
   Cnf cnf = HardRandomCnf(200, 860, 3);  // near-threshold hard instance
-  PortfolioOptions opts;
-  opts.deterministic = true;
-  opts.deadline = Deadline::After(-1);
-  PortfolioStats stats;
-  SatResult res = SolvePortfolio(cnf, opts, &stats);
-  // Every lane polls the deadline and gives up; no lane may loop forever.
-  EXPECT_EQ(res.kind, SatResult::Kind::kUnknown);
+  for (size_t lanes : {size_t{0}, size_t{1}}) {
+    PortfolioOptions opts;
+    opts.walksat_lanes = lanes;
+    opts.deadline = Deadline::After(-1);
+    PortfolioStats stats;
+    SatResult res = SolvePortfolio(cnf, opts, &stats);
+    // WalkSAT and CDCL both poll the deadline and give up; neither may
+    // loop forever.
+    EXPECT_EQ(res.kind, SatResult::Kind::kUnknown) << "lanes " << lanes;
+    EXPECT_EQ(stats.winner_lane, -1);
+  }
 }
 
 TEST(DeadlineDegradation, PortfolioZeroBudgetExpiresAndFarFutureDoesNot) {
   Cnf cnf = HardRandomCnf(60, 200, 11);
   PortfolioOptions opts;
-  opts.deterministic = true;
 
   // After(0) is already expired — same give-up path as a negative budget.
   opts.deadline = Deadline::After(0);
   SatResult expired = SolvePortfolio(cnf, opts);
   EXPECT_EQ(expired.kind, SatResult::Kind::kUnknown);
 
-  // A far-future budget must be indistinguishable from no deadline in
-  // deterministic mode.
-  PortfolioOptions no_deadline;
-  no_deadline.deterministic = true;
-  SatResult unbounded = SolvePortfolio(cnf, no_deadline);
+  // A far-future budget must be indistinguishable from no deadline.
+  SatResult unbounded = SolvePortfolio(cnf);
   opts.deadline = Deadline::After(3600);
   SatResult far = SolvePortfolio(cnf, opts);
   EXPECT_EQ(far.kind, unbounded.kind);

@@ -25,40 +25,77 @@ std::unique_ptr<UpdateSystem> MakeSyntheticSystem(
   return std::move(*sys);
 }
 
-TEST(Options, DpllOnlySolverAcceptsSatisfiableBuddyInsert) {
+TEST(Options, CdclSolverAcceptsSatisfiableBuddyInsert) {
   UpdateSystem::Options opts;
-  opts.insert.use_walksat = false;  // complete solver only
+  opts.insert.portfolio.walksat_lanes = 0;  // CDCL only (the default)
   auto sys = MakeSyntheticSystem(opts);
   Status st =
       sys->ApplyStatement("insert B(777777) into //C[cid=\"3\"]/buddies");
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_TRUE(sys->last_stats().used_sat);
+  EXPECT_EQ(sys->last_stats().sat_winner_lane, 0);
+  EXPECT_EQ(sys->last_stats().sat_flips, 0u);
 }
 
-TEST(Options, WalkSatWithoutFallbackRejectsUnsat) {
+TEST(Options, CdclSolverProvesUnsat) {
   UpdateSystem::Options opts;
-  opts.insert.use_walksat = true;
-  opts.insert.dpll_fallback = false;
-  opts.insert.walksat.max_tries = 2;
-  opts.insert.walksat.max_flips = 500;
+  opts.insert.portfolio.walksat_lanes = 0;
   auto sys = MakeSyntheticSystem(opts, /*g_uniform_prob=*/0.0);
-  // Every group is mixed: provably unsatisfiable; WalkSAT gives up.
-  Status st =
-      sys->ApplyStatement("insert B(777777) into //C[cid=\"3\"]/buddies");
-  EXPECT_TRUE(st.IsRejected()) << st.ToString();
-}
-
-TEST(Options, DpllFallbackProvesUnsat) {
-  UpdateSystem::Options opts;
-  opts.insert.use_walksat = true;
-  opts.insert.dpll_fallback = true;
-  auto sys = MakeSyntheticSystem(opts, /*g_uniform_prob=*/0.0);
+  // Every group is mixed: provably unsatisfiable.
   Status st =
       sys->ApplyStatement("insert B(777777) into //C[cid=\"3\"]/buddies");
   ASSERT_TRUE(st.IsRejected());
   // The message distinguishes "provably none exists" from "gave up".
   EXPECT_NE(st.message().find("provably"), std::string::npos)
       << st.ToString();
+}
+
+TEST(Options, WalkSatFirstAcceptsViaWalkSat) {
+  UpdateSystem::Options opts;
+  opts.insert.portfolio.walksat_lanes = 1;  // the paper's configuration
+  auto sys = MakeSyntheticSystem(opts);
+  Status st =
+      sys->ApplyStatement("insert B(777777) into //C[cid=\"3\"]/buddies");
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(sys->last_stats().used_sat);
+  EXPECT_EQ(sys->last_stats().sat_winner_lane, 0);  // WalkSAT answered
+  EXPECT_GT(sys->last_stats().sat_flips, 0u);
+}
+
+TEST(Options, SolverConfigurationsAgreeOnVerdicts) {
+  // Both configurations are complete (WalkSAT-first falls back to CDCL),
+  // so they accept and reject the same statements; only the satisfying
+  // ∆R picked may differ, and each must keep its view equal to σ(I).
+  for (double g_uniform_prob : {0.0, 0.78}) {
+    UpdateSystem::Options cdcl_opts;
+    cdcl_opts.insert.portfolio.walksat_lanes = 0;
+    UpdateSystem::Options walksat_opts;
+    walksat_opts.insert.portfolio.walksat_lanes = 1;
+    auto cdcl = MakeSyntheticSystem(cdcl_opts, g_uniform_prob);
+    auto walksat = MakeSyntheticSystem(walksat_opts, g_uniform_prob);
+    size_t accepted = 0, rejected = 0;
+    for (int i = 0; i < 24; ++i) {
+      std::string stmt = "insert B(" + std::to_string(700000 + i) +
+                         ") into //C[cid=\"" + std::to_string(1 + i % 12) +
+                         "\"]/buddies";
+      Status a = cdcl->ApplyStatement(stmt);
+      Status b = walksat->ApplyStatement(stmt);
+      ASSERT_EQ(a.ToString(), b.ToString()) << stmt;
+      ++(a.ok() ? accepted : rejected);
+    }
+    if (g_uniform_prob == 0.0) {
+      EXPECT_EQ(accepted, 0u);  // every group mixed: all provably unsat
+    } else {
+      EXPECT_GT(accepted, 0u);
+      EXPECT_GT(rejected, 0u);
+    }
+    for (UpdateSystem* sys : {cdcl.get(), walksat.get()}) {
+      auto fresh = sys->Republish();
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_EQ(sys->dag().CanonicalEdges(), fresh->CanonicalEdges())
+          << "g_uniform_prob " << g_uniform_prob;
+    }
+  }
 }
 
 TEST(Options, WorkCapRejectsInsteadOfHanging) {

@@ -57,8 +57,8 @@ Cnf Pigeonhole() {
   return cnf;
 }
 
-/// The sequential semantics deterministic mode promises: WalkSAT lane 0,
-/// then CDCL — computed without any portfolio machinery.
+/// The portfolio's semantics computed without it: WalkSAT (when enabled),
+/// then CDCL whenever WalkSAT gives up.
 SatResult SequentialOracle(const Cnf& cnf, const PortfolioOptions& opts) {
   if (opts.walksat_lanes > 0) {
     SatResult ws = SolveWalkSat(cnf, opts.walksat);
@@ -67,135 +67,86 @@ SatResult SequentialOracle(const Cnf& cnf, const PortfolioOptions& opts) {
   return SolveCdcl(cnf, opts.cdcl);
 }
 
-TEST(Portfolio, SatModelValidThreaded) {
-  Rng rng(11);
-  Cnf cnf = Random3Cnf(&rng, 20, 60);  // low ratio: satisfiable
-  PortfolioOptions opts;
-  opts.inline_below_clauses = 0;  // force lane threads
-  PortfolioStats stats;
-  SatResult r = SolvePortfolio(cnf, opts, &stats);
-  ASSERT_EQ(r.kind, SatResult::Kind::kSat);
-  EXPECT_TRUE(cnf.IsSatisfiedBy(r.model));
-  EXPECT_TRUE(stats.threaded);
-  EXPECT_EQ(stats.lanes, opts.walksat_lanes + 1);
-  EXPECT_GE(stats.winner_lane, 0);
-}
-
-TEST(Portfolio, UnsatBothModes) {
-  Cnf cnf = UnsatXorChain();
-  for (bool deterministic : {true, false}) {
-    PortfolioOptions opts;
-    opts.deterministic = deterministic;
-    opts.inline_below_clauses = 0;
-    PortfolioStats stats;
-    EXPECT_EQ(SolvePortfolio(cnf, opts, &stats).kind,
-              SatResult::Kind::kUnsat);
-  }
-}
-
-TEST(Portfolio, InlineFastPathMatchesThreaded) {
-  Rng rng(17);
-  for (int inst = 0; inst < 20; ++inst) {
-    Cnf cnf = Random3Cnf(&rng, 15, 45 + inst);
-    PortfolioOptions inline_opts;
-    inline_opts.inline_below_clauses = 100000;  // always inline
-    PortfolioOptions threaded_opts;
-    threaded_opts.inline_below_clauses = 0;  // always threaded
-    SatResult a = SolvePortfolio(cnf, inline_opts);
-    SatResult b = SolvePortfolio(cnf, threaded_opts);
-    ASSERT_EQ(a.kind, b.kind) << "instance " << inst;
-    EXPECT_EQ(a.model, b.model) << "instance " << inst;
-  }
-}
-
-TEST(Portfolio, DeterministicBitIdentityAcrossLaneCounts) {
-  // The acceptance-bar fuzz: for ANY lane count the deterministic-mode
-  // (kind, model) must be bit-identical — and equal to the sequential
-  // lane0-then-CDCL oracle.
+TEST(Portfolio, MatchesSequentialOracle) {
   Rng rng(4242);
   for (int inst = 0; inst < 25; ++inst) {
     int nv = 10 + static_cast<int>(rng.Below(15));
     int nc = static_cast<int>(rng.Below(static_cast<uint64_t>(5 * nv))) + nv;
     Cnf cnf = Random3Cnf(&rng, nv, nc);
-    PortfolioOptions base;
-    base.inline_below_clauses = 0;
-    SatResult oracle = SequentialOracle(cnf, base);
-    for (size_t lanes : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      PortfolioOptions opts = base;
+    for (size_t lanes : {size_t{0}, size_t{1}}) {
+      PortfolioOptions opts;
       opts.walksat_lanes = lanes;
-      SatResult r = SolvePortfolio(cnf, opts);
+      opts.walksat.max_flips = 2000;  // keep the unsat instances cheap
+      SatResult oracle = SequentialOracle(cnf, opts);
+      PortfolioStats stats;
+      SatResult r = SolvePortfolio(cnf, opts, &stats);
       ASSERT_EQ(r.kind, oracle.kind)
           << "instance " << inst << " lanes " << lanes;
       EXPECT_EQ(r.model, oracle.model)
           << "instance " << inst << " lanes " << lanes;
+      // CDCL is complete, so some solver always answers.
+      ASSERT_NE(r.kind, SatResult::Kind::kUnknown);
+      if (r.kind == SatResult::Kind::kSat) {
+        EXPECT_TRUE(cnf.IsSatisfiedBy(r.model));
+      }
+      if (r.kind == SatResult::Kind::kUnsat || lanes == 0) {
+        EXPECT_EQ(stats.winner_lane, static_cast<int>(lanes));
+      }
     }
   }
 }
 
-TEST(Portfolio, CancellationStopsLosingLanes) {
-  // Unsatisfiable formula, WalkSAT lanes with an hours-long flip budget:
-  // the test only terminates promptly because the CDCL lane's kUnsat
-  // fires the shared cancel token and every WalkSAT inner loop polls it.
-  Cnf cnf = UnsatXorChain();
-  for (bool deterministic : {true, false}) {
-    PortfolioOptions opts;
-    opts.deterministic = deterministic;
-    opts.inline_below_clauses = 0;
-    opts.walksat_lanes = 4;
-    opts.walksat.max_tries = 1000000;
-    opts.walksat.max_flips = 100000000;
-    PortfolioStats stats;
-    SatResult r = SolvePortfolio(cnf, opts, &stats);
-    EXPECT_EQ(r.kind, SatResult::Kind::kUnsat);
-    EXPECT_GE(stats.lanes_cancelled, 1u);
-    EXPECT_EQ(stats.winner_lane, static_cast<int>(opts.walksat_lanes));
-  }
+TEST(Portfolio, WalkSatAnswersFirstWhenEnabled) {
+  Rng rng(11);
+  Cnf cnf = Random3Cnf(&rng, 20, 60);  // low ratio: satisfiable
+  PortfolioOptions opts;
+  opts.walksat_lanes = 1;
+  PortfolioStats stats;
+  SatResult r = SolvePortfolio(cnf, opts, &stats);
+  ASSERT_EQ(r.kind, SatResult::Kind::kSat);
+  EXPECT_TRUE(cnf.IsSatisfiedBy(r.model));
+  EXPECT_EQ(stats.winner_lane, 0);
+  EXPECT_GT(stats.totals.flips, 0u);
 }
 
-TEST(Portfolio, RacingReturnsDefinitiveResult) {
-  Rng rng(333);
-  for (int inst = 0; inst < 10; ++inst) {
-    Cnf cnf = Random3Cnf(&rng, 18, 70);
-    PortfolioOptions opts;
-    opts.deterministic = false;
-    opts.inline_below_clauses = 0;
-    PortfolioStats stats;
-    SatResult r = SolvePortfolio(cnf, opts, &stats);
-    // Racing may be won by any lane, but the verdict must be definitive
-    // and correct (model satisfies; unsat only from the complete lane).
-    ASSERT_NE(r.kind, SatResult::Kind::kUnknown) << "instance " << inst;
-    if (r.kind == SatResult::Kind::kSat) {
-      EXPECT_TRUE(cnf.IsSatisfiedBy(r.model)) << "instance " << inst;
-    } else {
-      EXPECT_EQ(stats.winner_lane, static_cast<int>(opts.walksat_lanes));
-    }
-  }
+TEST(Portfolio, CdclProvesUnsatAfterWalkSatGivesUp) {
+  PortfolioOptions opts;
+  opts.walksat_lanes = 1;
+  opts.walksat.max_tries = 1;
+  opts.walksat.max_flips = 100;
+  PortfolioStats stats;
+  EXPECT_EQ(SolvePortfolio(UnsatXorChain(), opts, &stats).kind,
+            SatResult::Kind::kUnsat);
+  EXPECT_EQ(stats.winner_lane, 1);
+  EXPECT_EQ(stats.totals.flips, 100u);
 }
 
-TEST(Portfolio, CdclOnlyConfiguration) {
+TEST(Portfolio, CdclOnlyByDefault) {
   Rng rng(55);
   Cnf cnf = Random3Cnf(&rng, 20, 80);
-  PortfolioOptions opts;
-  opts.walksat_lanes = 0;
-  SatResult r = SolvePortfolio(cnf, opts);
+  PortfolioStats stats;
+  SatResult r = SolvePortfolio(cnf, {}, &stats);
   SatResult oracle = SolveCdcl(cnf);
   ASSERT_EQ(r.kind, oracle.kind);
   EXPECT_EQ(r.model, oracle.model);
+  EXPECT_EQ(stats.winner_lane, 0);
+  EXPECT_EQ(stats.totals.flips, 0u);
 }
 
 TEST(Portfolio, CappedCdclCanReturnUnknown) {
-  // With a conflict-capped CDCL lane and budget-capped WalkSAT lanes a
-  // hard unsat instance exhausts every lane: kUnknown is the honest
-  // answer.
+  // With a conflict-capped CDCL and a budget-capped WalkSAT a hard unsat
+  // instance exhausts both: kUnknown is the honest answer.
   Cnf cnf = Pigeonhole();
   PortfolioOptions opts;
-  opts.inline_below_clauses = 0;
   opts.cdcl.max_conflicts = 1;
   opts.walksat.max_tries = 1;
   opts.walksat.max_flips = 50;
-  for (bool deterministic : {true, false}) {
-    opts.deterministic = deterministic;
-    EXPECT_EQ(SolvePortfolio(cnf, opts).kind, SatResult::Kind::kUnknown);
+  for (size_t lanes : {size_t{0}, size_t{1}}) {
+    opts.walksat_lanes = lanes;
+    PortfolioStats stats;
+    EXPECT_EQ(SolvePortfolio(cnf, opts, &stats).kind,
+              SatResult::Kind::kUnknown);
+    EXPECT_EQ(stats.winner_lane, -1);
   }
 }
 

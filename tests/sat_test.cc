@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "src/common/rng.h"
 #include "src/sat/cdcl.h"
 #include "src/sat/dpll.h"
@@ -138,16 +136,6 @@ TEST(Cdcl, EdgeCases) {
   EXPECT_TRUE(taut.IsSatisfiedBy(r.model));
 }
 
-TEST(Cdcl, CancellationReturnsUnknown) {
-  // A pre-fired token makes the solver give up before its first decision.
-  Rng rng(5);
-  Cnf cnf = RandomCnf(&rng, 30, 120, false);
-  std::atomic<bool> cancel{true};
-  CdclOptions opts;
-  opts.cancel = &cancel;
-  EXPECT_EQ(SolveCdcl(cnf, opts).kind, SatResult::Kind::kUnknown);
-}
-
 TEST(Cdcl, ConflictBudgetReturnsUnknown) {
   // Pigeonhole 5 pigeons / 4 holes: unsatisfiable, and far beyond a
   // 1-conflict budget (a single learned clause plus root-level
@@ -264,26 +252,6 @@ TEST(WalkSat, AgreesWithDpllOnRandom3Sat) {
       EXPECT_TRUE(cnf.IsSatisfiedBy(ws.model));
     }
   }
-}
-
-TEST(WalkSat, CancellationReturnsUnknown) {
-  // An unsatisfiable instance with an effectively unbounded flip budget:
-  // only the pre-fired token can stop the walk promptly.
-  Cnf cnf;
-  int32_t a = cnf.NewVar(), b = cnf.NewVar(), c = cnf.NewVar();
-  auto add_xor = [&](int32_t x, int32_t y) {
-    cnf.AddBinary(x, y);
-    cnf.AddBinary(-x, -y);
-  };
-  add_xor(a, b);
-  add_xor(b, c);
-  add_xor(a, c);
-  WalkSatOptions opts;
-  opts.max_tries = 1000000;
-  opts.max_flips = 1000000;
-  std::atomic<bool> cancel{true};
-  EXPECT_EQ(SolveWalkSat(cnf, opts, nullptr, &cancel).kind,
-            SatResult::Kind::kUnknown);
 }
 
 TEST(WalkSat, FlipCounterPopulated) {

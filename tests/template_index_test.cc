@@ -73,7 +73,8 @@ TEST(TemplateSlotIndex, RandomizedCandidatesEqualAllPairsOracle) {
         if (rng.Chance(0.3)) {
           slots.push_back(std::nullopt);  // free (symbolic) slot
         } else {
-          slots.push_back(Value::Int(static_cast<int64_t>(rng.Below(5))));
+          slots.emplace_back(std::in_place,
+                             Value::Int(static_cast<int64_t>(rng.Below(5))));
         }
       }
       idx.Add(table, id, slots);
