@@ -21,9 +21,9 @@
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
 #include "src/sat/cdcl.h"
-#include "src/sat/dpll.h"
 #include "src/sat/portfolio.h"
 #include "src/sat/walksat.h"
+#include "tests/oracles/dpll_oracle.h"
 
 namespace xvu {
 namespace bench {
@@ -68,7 +68,7 @@ void BM_DpllRecursiveRandom(benchmark::State& state) {
   size_t sat = 0, total = 0;
   for (auto _ : state) {
     Cnf cnf = Random3Sat(nv, 4.0, seed++);
-    SatResult r = SolveDpllRecursive(cnf);
+    SatResult r = oracles::SolveDpllRecursive(cnf);
     if (r.kind == SatResult::Kind::kSat) ++sat;
     ++total;
   }

@@ -33,10 +33,10 @@
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/sat/cdcl.h"
-#include "src/sat/dpll.h"
 #include "src/sat/portfolio.h"
 #include "src/viewupdate/delete.h"
 #include "src/viewupdate/minimal_delete.h"
+#include "tests/oracles/dpll_oracle.h"
 
 namespace xvu {
 namespace bench {
@@ -157,7 +157,7 @@ std::vector<SolverRow> RunSolverSweep(double min_speedup) {
       row.dpll_s = 0;
       for (size_t i = 0; i < instances.size(); ++i) {
         auto t0 = Clock::now();
-        SatResult d = SolveDpllRecursive(instances[i]);
+        SatResult d = oracles::SolveDpllRecursive(instances[i]);
         row.dpll_s +=
             std::chrono::duration<double>(Clock::now() - t0).count();
         dpll_agrees = dpll_agrees && d.kind == verdicts[i].kind;

@@ -1,31 +1,33 @@
 #include "src/atg/publisher.h"
 
-#include <deque>
+#include <cassert>
 
 namespace xvu {
 
 namespace {
 
-/// Kahn cycle check over the DAG (the published view must be acyclic:
-/// a cycle means the XML view is an infinite tree).
-bool IsAcyclicDag(const DagView& dag) {
-  std::vector<NodeId> live = dag.LiveNodes();
-  std::vector<size_t> indeg(dag.capacity(), 0);
-  for (NodeId v : live) indeg[v] = dag.parents(v).size();
-  std::deque<NodeId> q;
-  for (NodeId v : live) {
-    if (indeg[v] == 0) q.push_back(v);
+/// Kahn cycle check over the subgraph induced by the live nodes with ids
+/// in [lo, capacity). lo = 0 checks the whole DAG: the published view
+/// must be acyclic, since a cycle means the XML view is an infinite tree.
+bool AcyclicFrom(const DagView& dag, NodeId lo) {
+  std::vector<size_t> indeg(dag.capacity() - lo, 0);
+  std::vector<NodeId> ready;
+  size_t live = 0, seen = 0;
+  for (NodeId v = lo; v < dag.capacity(); ++v) {
+    if (!dag.alive(v)) continue;
+    ++live;
+    for (NodeId p : dag.parents(v)) indeg[v - lo] += p >= lo;
+    if (indeg[v - lo] == 0) ready.push_back(v);
   }
-  size_t seen = 0;
-  while (!q.empty()) {
-    NodeId u = q.front();
-    q.pop_front();
+  while (!ready.empty()) {
+    NodeId u = ready.back();
+    ready.pop_back();
     ++seen;
     for (NodeId c : dag.children(u)) {
-      if (--indeg[c] == 0) q.push_back(c);
+      if (c >= lo && --indeg[c - lo] == 0) ready.push_back(c);
     }
   }
-  return seen == live.size();
+  return seen == live;
 }
 
 }  // namespace
@@ -206,7 +208,7 @@ Result<DagView> Publisher::PublishAll(ViewStore* store) {
   dag.SetRoot(root);
   XVU_RETURN_NOT_OK(Generate(&ctx, root));
   XVU_RETURN_NOT_OK(Drain(&ctx));
-  if (!IsAcyclicDag(dag)) {
+  if (!AcyclicFrom(dag, 0)) {
     return Status::Rejected(
         "published view is cyclic (infinite XML tree); source data violates "
         "the DAG assumption");
@@ -228,7 +230,13 @@ Result<Publisher::SubtreeResult> Publisher::PublishSubtree(
   if (created) {
     XVU_RETURN_NOT_OK(Generate(&ctx, root));
     XVU_RETURN_NOT_OK(Drain(&ctx));
-    delta.cyclic = !IsAcyclicDag(*dag);
+    // Ids are allocated ascending, so the nodes created here are exactly
+    // those from `root` up. Only they are Generate()d: every added edge
+    // starts at one of them, and none enters one from outside. The DAG
+    // was acyclic before (callers' cone guards keep it so), so any new
+    // cycle lies among the created nodes.
+    delta.cyclic = !AcyclicFrom(*dag, root);
+    assert(delta.cyclic == !AcyclicFrom(*dag, 0));
   }
   return delta;
 }

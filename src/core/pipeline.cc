@@ -662,9 +662,10 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
     if (ins_options.deadline.infinite()) {
       ins_options.deadline = ctx->deadline;
     }
-    XVU_ASSIGN_OR_RETURN(
-        InsertTranslation tr,
-        TranslateGroupInsertion(store_, db_, ins_dv, ins_options, pool()));
+    InsertTranslation tr;
+    Status tr_st =
+        TranslateGroupInsertion(store_, db_, ins_dv, &tr, ins_options, pool());
+    // Recorded before the verdict: a rejected op's solver run still shows.
     stats_.used_sat = tr.used_sat;
     stats_.sat_propagations = tr.sat_stats.propagations;
     stats_.sat_conflicts = tr.sat_stats.conflicts;
@@ -674,6 +675,7 @@ Status UpdateSystem::ApplyBatchImpl(const UpdateBatch& batch, WriteUndo* ctx) {
     stats_.sat_seconds = tr.sat_seconds;
     stats_.symbolic_tasks = tr.num_tasks;
     stats_.symbolic_candidates = tr.num_candidates;
+    XVU_RETURN_NOT_OK(tr_st);
     dr.ops.insert(dr.ops.end(), tr.delta_r.ops.begin(), tr.delta_r.ops.end());
   }
   stats_.delta_v = del_dv.size() + ins_dv.size();

@@ -20,15 +20,14 @@ void DagView::SetRoot(NodeId r) {
 }
 
 NodeId DagView::GetOrAddNode(const std::string& type, const Tuple& attr) {
-  auto& per_type = gen_[type];
-  auto it = per_type.find(attr);
-  if (it != per_type.end()) return it->second;
+  NodeId existing = FindNode(type, attr);
+  if (existing != kInvalidNode) return existing;
   NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(Node{type, attr});
   dead_.push_back(0);
   children_.emplace_back();
   parents_.emplace_back();
-  per_type.emplace(attr, id);
+  gen_[type].emplace(TupleHash()(attr), id);
   ++live_nodes_;
   ++version_;
   DagDelta d;
@@ -42,8 +41,22 @@ NodeId DagView::GetOrAddNode(const std::string& type, const Tuple& attr) {
 NodeId DagView::FindNode(const std::string& type, const Tuple& attr) const {
   auto tit = gen_.find(type);
   if (tit == gen_.end()) return kInvalidNode;
-  auto it = tit->second.find(attr);
-  return it == tit->second.end() ? kInvalidNode : it->second;
+  auto range = tit->second.equal_range(TupleHash()(attr));
+  for (auto it = range.first; it != range.second; ++it) {
+    if (nodes_[it->second].attr == attr) return it->second;
+  }
+  return kInvalidNode;
+}
+
+void DagView::Unindex(NodeId id) {
+  auto& per_type = gen_[nodes_[id].type];
+  auto range = per_type.equal_range(TupleHash()(nodes_[id].attr));
+  for (auto it = range.first; it != range.second; ++it) {
+    if (it->second == id) {
+      per_type.erase(it);
+      return;
+    }
+  }
 }
 
 bool DagView::AddEdge(NodeId parent, NodeId child) {
@@ -100,7 +113,7 @@ Status DagView::RemoveNode(NodeId id) {
                                    " still has incident edges");
   }
   dead_[id] = 1;
-  gen_[nodes_[id].type].erase(nodes_[id].attr);
+  Unindex(id);
   --live_nodes_;
   ++version_;
   DagDelta d;
@@ -141,7 +154,7 @@ Status DagView::RewindTo(uint64_t version) {
           return Status::Internal("rewind: node " + std::to_string(d.node) +
                                   " is not the last isolated allocation");
         }
-        gen_[nodes_[d.node].type].erase(nodes_[d.node].attr);
+        Unindex(d.node);
         nodes_.pop_back();
         dead_.pop_back();
         children_.pop_back();
@@ -155,7 +168,8 @@ Status DagView::RewindTo(uint64_t version) {
                                   " to resurrect is alive");
         }
         dead_[d.node] = 0;
-        gen_[nodes_[d.node].type].emplace(nodes_[d.node].attr, d.node);
+        gen_[nodes_[d.node].type].emplace(TupleHash()(nodes_[d.node].attr),
+                                          d.node);
         ++live_nodes_;
         break;
       }

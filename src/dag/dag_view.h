@@ -157,11 +157,15 @@ class DagView {
   std::string CanonicalKey(NodeId id) const;
 
  private:
+  void Unindex(NodeId id);
+
   std::vector<Node> nodes_;
   std::vector<uint8_t> dead_;
   std::vector<std::vector<NodeId>> children_;
   std::vector<std::vector<NodeId>> parents_;
-  std::map<std::string, std::unordered_map<Tuple, NodeId, TupleHash>> gen_;
+  /// The gen_id index: per type, TupleHash(attr) -> node ids. The attrs
+  /// are compared in nodes_, not stored a second time.
+  std::map<std::string, std::unordered_multimap<size_t, NodeId>> gen_;
   NodeId root_ = kInvalidNode;
   size_t num_edges_ = 0;
   size_t live_nodes_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -210,26 +211,31 @@ Status MaintenanceEngine::IncrementalMerge(
                        InducedTopoAncestorsFirst(*dag, affected));
 
   // (4) Replay the Fig.4 recurrence over the affected region only,
-  // ancestors first, diffing against the stale sets to emit the true ∆M.
+  // ancestors first, diffing the recomputed sorted ancestor list against
+  // the stale one to emit the true ∆M.
   reach_.Reserve(dag->capacity());
+  std::vector<NodeId> fresh, to_del, to_ins;
   for (NodeId x : order) {
-    std::unordered_set<NodeId> fresh;
+    fresh.clear();
     for (NodeId p : dag->parents(x)) {
-      fresh.insert(p);
+      fresh.push_back(p);
       const auto& ap = reach_.Ancestors(p);
-      fresh.insert(ap.begin(), ap.end());
+      fresh.insert(fresh.end(), ap.begin(), ap.end());
     }
+    std::sort(fresh.begin(), fresh.end());
+    fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
     const auto& old_anc = reach_.Ancestors(x);
-    std::vector<NodeId> to_del, to_ins;
-    for (NodeId a : old_anc) {
-      if (fresh.count(a) == 0) to_del.push_back(a);
-    }
-    for (NodeId a : fresh) {
-      if (old_anc.count(a) == 0) to_ins.push_back(a);
-    }
-    for (NodeId a : to_del) {
-      reach_.Erase(a, x);
-      delta->m_deleted.emplace_back(a, x);
+    to_del.clear();
+    to_ins.clear();
+    std::set_difference(old_anc.begin(), old_anc.end(), fresh.begin(),
+                        fresh.end(), std::back_inserter(to_del));
+    std::set_difference(fresh.begin(), fresh.end(), old_anc.begin(),
+                        old_anc.end(), std::back_inserter(to_ins));
+    // Descending erasures and ascending insertions keep each edit near
+    // the end of x's list.
+    for (auto it = to_del.rbegin(); it != to_del.rend(); ++it) {
+      reach_.Erase(*it, x);
+      delta->m_deleted.emplace_back(*it, x);
     }
     for (NodeId a : to_ins) {
       reach_.Insert(a, x);
@@ -238,18 +244,16 @@ Status MaintenanceEngine::IncrementalMerge(
   }
 
   // (5) Tombstoned nodes are not in the affected region (they are
-  // unreachable); clear their residual pairs explicitly. Most are already
-  // gone via the symmetric bookkeeping of step (4).
+  // unreachable); clear their residual pairs explicitly, last first. Most
+  // are already gone via the symmetric bookkeeping of step (4).
   for (NodeId v : stale_nodes) {
-    std::vector<NodeId> anc(reach_.Ancestors(v).begin(),
-                            reach_.Ancestors(v).end());
-    for (NodeId a : anc) {
-      if (reach_.Erase(a, v)) delta->m_deleted.emplace_back(a, v);
+    std::vector<NodeId> anc = reach_.Ancestors(v);
+    for (auto it = anc.rbegin(); it != anc.rend(); ++it) {
+      if (reach_.Erase(*it, v)) delta->m_deleted.emplace_back(*it, v);
     }
-    std::vector<NodeId> desc(reach_.Descendants(v).begin(),
-                             reach_.Descendants(v).end());
-    for (NodeId d : desc) {
-      if (reach_.Erase(v, d)) delta->m_deleted.emplace_back(v, d);
+    std::vector<NodeId> desc = reach_.Descendants(v);
+    for (auto it = desc.rbegin(); it != desc.rend(); ++it) {
+      if (reach_.Erase(v, *it)) delta->m_deleted.emplace_back(v, *it);
     }
   }
 

@@ -1,8 +1,32 @@
 #include "src/dag/reachability.h"
 
+#include <algorithm>
+
 namespace xvu {
 
-const std::unordered_set<NodeId> Reachability::kEmpty{};
+const std::vector<NodeId> Reachability::kEmpty{};
+
+namespace {
+
+/// Inserts v into the ascending list; false if already present.
+bool SortedInsert(std::vector<NodeId>* list, NodeId v) {
+  auto it = list->empty() || list->back() < v
+                ? list->end()
+                : std::lower_bound(list->begin(), list->end(), v);
+  if (it != list->end() && *it == v) return false;
+  list->insert(it, v);
+  return true;
+}
+
+/// Erases v from the ascending list; false if absent.
+bool SortedErase(std::vector<NodeId>* list, NodeId v) {
+  auto it = std::lower_bound(list->begin(), list->end(), v);
+  if (it == list->end() || *it != v) return false;
+  list->erase(it);
+  return true;
+}
+
+}  // namespace
 
 void Reachability::EnsureCapacity(NodeId v) {
   if (v >= anc_.size()) {
@@ -24,45 +48,32 @@ Reachability Reachability::Compute(const DagView& dag,
     NodeId d = L[k - 1];
     auto& ad = m.anc_[d];
     for (NodeId p : dag.parents(d)) {
-      ad.insert(p);
+      ad.push_back(p);
       const auto& ap = m.anc_[p];
-      ad.insert(ap.begin(), ap.end());
+      ad.insert(ad.end(), ap.begin(), ap.end());
     }
-    for (NodeId a : ad) m.desc_[a].insert(d);
+    std::sort(ad.begin(), ad.end());
+    ad.erase(std::unique(ad.begin(), ad.end()), ad.end());
+    ad.shrink_to_fit();
     m.size_ += ad.size();
   }
-  return m;
-}
-
-Reachability Reachability::ComputeNaive(const DagView& dag) {
-  Reachability m;
-  m.anc_.resize(dag.capacity());
-  m.desc_.resize(dag.capacity());
-  // Per-node DFS collecting all descendants.
-  for (NodeId a : dag.LiveNodes()) {
-    std::vector<NodeId> stack(dag.children(a).begin(), dag.children(a).end());
-    auto& da = m.desc_[a];
-    while (!stack.empty()) {
-      NodeId v = stack.back();
-      stack.pop_back();
-      if (!da.insert(v).second) continue;
-      for (NodeId c : dag.children(v)) stack.push_back(c);
-    }
-    for (NodeId d : da) m.anc_[d].insert(a);
-    m.size_ += da.size();
+  // Filled in ascending d, the descendant lists come out sorted.
+  for (NodeId d = 0; d < m.anc_.size(); ++d) {
+    for (NodeId a : m.anc_[d]) m.desc_[a].push_back(d);
   }
   return m;
 }
 
 bool Reachability::IsAncestor(NodeId a, NodeId d) const {
-  return d < anc_.size() && anc_[d].count(a) > 0;
+  return d < anc_.size() &&
+         std::binary_search(anc_[d].begin(), anc_[d].end(), a);
 }
 
-const std::unordered_set<NodeId>& Reachability::Ancestors(NodeId d) const {
+const std::vector<NodeId>& Reachability::Ancestors(NodeId d) const {
   return d < anc_.size() ? anc_[d] : kEmpty;
 }
 
-const std::unordered_set<NodeId>& Reachability::Descendants(NodeId a) const {
+const std::vector<NodeId>& Reachability::Descendants(NodeId a) const {
   return a < desc_.size() ? desc_[a] : kEmpty;
 }
 
@@ -76,15 +87,15 @@ void Reachability::Reserve(size_t cap) {
 bool Reachability::Insert(NodeId a, NodeId d) {
   if (a == d) return false;
   EnsureCapacity(std::max(a, d));
-  if (!anc_[d].insert(a).second) return false;
-  desc_[a].insert(d);
+  if (!SortedInsert(&anc_[d], a)) return false;
+  SortedInsert(&desc_[a], d);
   ++size_;
   return true;
 }
 
 bool Reachability::Erase(NodeId a, NodeId d) {
-  if (d >= anc_.size() || anc_[d].erase(a) == 0) return false;
-  desc_[a].erase(d);
+  if (d >= anc_.size() || !SortedErase(&anc_[d], a)) return false;
+  SortedErase(&desc_[a], d);
   --size_;
   return true;
 }
@@ -93,9 +104,7 @@ bool Reachability::operator==(const Reachability& o) const {
   if (size_ != o.size_) return false;
   size_t n = std::max(anc_.size(), o.anc_.size());
   for (NodeId v = 0; v < n; ++v) {
-    const auto& a = v < anc_.size() ? anc_[v] : kEmpty;
-    const auto& b = v < o.anc_.size() ? o.anc_[v] : kEmpty;
-    if (a != b) return false;
+    if (Ancestors(v) != o.Ancestors(v)) return false;
   }
   return true;
 }

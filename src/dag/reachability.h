@@ -1,7 +1,6 @@
 #ifndef XVU_DAG_REACHABILITY_H_
 #define XVU_DAG_REACHABILITY_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/status.h"
@@ -11,9 +10,11 @@
 namespace xvu {
 
 /// The reachability matrix M of Section 3.1, stored sparsely as the
-/// relation M(anc, desc) — only set bits are kept, in both orientations
-/// (ancestor sets and descendant sets) for O(1) membership and O(|result|)
-/// enumeration. Relationships are strict: (v, v) is never stored.
+/// relation M(anc, desc) — only set bits are kept, in both orientations:
+/// per node, its ancestors and its descendants as ascending NodeId
+/// vectors (4 bytes a pair per orientation), for O(log n) membership and
+/// O(|result|) enumeration. Relationships are strict: (v, v) is never
+/// stored.
 class Reachability {
  public:
   Reachability() = default;
@@ -23,22 +24,20 @@ class Reachability {
   /// children via dynamic programming.
   static Reachability Compute(const DagView& dag, const TopoOrder& order);
 
-  /// Naive O(|V|^2 log |V|)-ish transitive closure via per-node DFS;
-  /// test oracle and ablation baseline.
-  static Reachability ComputeNaive(const DagView& dag);
-
   /// True iff a is a (strict) ancestor of d.
   bool IsAncestor(NodeId a, NodeId d) const;
 
-  const std::unordered_set<NodeId>& Ancestors(NodeId d) const;
-  const std::unordered_set<NodeId>& Descendants(NodeId a) const;
+  /// Strict ancestors of d / descendants of a, ascending.
+  const std::vector<NodeId>& Ancestors(NodeId d) const;
+  const std::vector<NodeId>& Descendants(NodeId a) const;
 
   /// Grows internal storage to cover node ids < cap. Call before bulk
-  /// Insert loops that iterate existing sets: growth re-allocates the
-  /// per-node set arrays, which would invalidate references otherwise.
+  /// Insert loops that iterate existing lists: growth re-allocates the
+  /// per-node arrays, which would invalidate references otherwise.
   void Reserve(size_t cap);
 
-  /// Inserts pair (a, d); returns true if newly added.
+  /// Inserts pair (a, d); returns true if newly added. Appending (an id
+  /// above a list's last) is O(1); otherwise O(list length).
   bool Insert(NodeId a, NodeId d);
   /// Erases pair (a, d); returns true if it was present.
   bool Erase(NodeId a, NodeId d);
@@ -51,11 +50,11 @@ class Reachability {
  private:
   void EnsureCapacity(NodeId v);
 
-  std::vector<std::unordered_set<NodeId>> anc_;
-  std::vector<std::unordered_set<NodeId>> desc_;
+  std::vector<std::vector<NodeId>> anc_;
+  std::vector<std::vector<NodeId>> desc_;
   size_t size_ = 0;
 
-  static const std::unordered_set<NodeId> kEmpty;
+  static const std::vector<NodeId> kEmpty;
 };
 
 }  // namespace xvu

@@ -13,13 +13,6 @@ namespace xvu {
 /// Returns kSat with a model, or kUnsat; never kUnknown.
 SatResult SolveDpll(const Cnf& cnf);
 
-/// The original recursive DPLL (unit propagation + chronological
-/// backtracking, no learning, re-scans every clause per propagation
-/// round). Exponential and slow — kept only as the small-instance
-/// correctness oracle for CDCL/WalkSAT/portfolio fuzz tests and as the
-/// "old solver" baseline in bench_ablation_sat.
-SatResult SolveDpllRecursive(const Cnf& cnf);
-
 }  // namespace xvu
 
 #endif  // XVU_SAT_DPLL_H_

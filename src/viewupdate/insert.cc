@@ -922,12 +922,13 @@ class FreshValues {
 
 }  // namespace
 
-Result<InsertTranslation> TranslateGroupInsertion(
-    const ViewStore& store, const Database& base,
-    const std::vector<ViewRowOp>& insertions, const InsertOptions& options,
-    ThreadPool* pool) {
+Status TranslateGroupInsertion(const ViewStore& store, const Database& base,
+                               const std::vector<ViewRowOp>& insertions,
+                               InsertTranslation* out,
+                               const InsertOptions& options,
+                               ThreadPool* pool) {
   Translator t(store, base, options);
-  InsertTranslation out;
+  *out = InsertTranslation{};
 
   // Drop ∆V rows already present in the view (the edge exists; XML-side
   // semantics make re-insertion a no-op) and index the rest as expected.
@@ -941,21 +942,21 @@ Result<InsertTranslation> TranslateGroupInsertion(
     Tuple proj(op.row.begin() + 2, op.row.end());
     t.expected[op.view_name].insert(ExpectedKey(op.row[0].as_int(), proj));
   }
-  if (todo.empty()) return out;
+  if (todo.empty()) return Status::OK();
 
   // Step 1: tuple templates.
   for (const ViewRowOp* op : todo) {
     XVU_RETURN_NOT_OK(
         BuildTemplates(&t, *store.GetEdgeView(op->view_name), op->row));
   }
-  out.num_templates = t.templates.size();
+  out->num_templates = t.templates.size();
 
   bool any_new = false;
   for (const TupleTemplate& tmpl : t.templates) any_new |= tmpl.is_new;
   if (!any_new) {
     // Everything needed already exists; conditions were checked during
     // propagation, so the requested rows are derivable with ∆R = ∅.
-    return out;
+    return Status::OK();
   }
 
   // Step 2: symbolic side-effect evaluation — for every view and every
@@ -987,7 +988,7 @@ Result<InsertTranslation> TranslateGroupInsertion(
     if (tasks.size() > before) task_views.push_back(info);
   }
   PrebuildJoinIndexes(&t, task_views);
-  out.num_tasks = tasks.size();
+  out->num_tasks = tasks.size();
   std::vector<Status> task_status(tasks.size());
   std::vector<std::vector<std::vector<Atom>>> task_conds(tasks.size());
   ParallelFor(pool, tasks.size(), [&](size_t k) {
@@ -1030,7 +1031,7 @@ Result<InsertTranslation> TranslateGroupInsertion(
       t.negative_conditions.push_back(std::move(cond));
     }
   }
-  out.num_candidates = t.candidates_examined.load();
+  out->num_candidates = t.candidates_examined.load();
 
   // Step 3: CNF encoding over the finite-domain free classes.
   FiniteDomainEncoder enc;
@@ -1057,22 +1058,22 @@ Result<InsertTranslation> TranslateGroupInsertion(
     for (const Atom& a : cond) clause.push_back(-atom_lit(a));
     enc.AddClause(std::move(clause));
   }
-  out.num_variables = cls_var.size();
-  out.num_sat_vars = static_cast<size_t>(enc.cnf().num_vars());
-  out.num_sat_clauses = enc.cnf().num_clauses();
+  out->num_variables = cls_var.size();
+  out->num_sat_vars = static_cast<size_t>(enc.cnf().num_vars());
+  out->num_sat_clauses = enc.cnf().num_clauses();
 
   std::vector<bool> model;
   if (!t.negative_conditions.empty()) {
-    out.used_sat = true;
+    out->used_sat = true;
     SatResult res;
     auto sat_t0 = std::chrono::steady_clock::now();
     PortfolioOptions popts = options.portfolio;
     if (popts.deadline.infinite()) popts.deadline = options.deadline;
     PortfolioStats pstats;
     res = SolvePortfolio(enc.cnf(), popts, &pstats);
-    out.sat_stats = pstats.totals;
-    out.sat_winner_lane = pstats.winner_lane;
-    out.sat_seconds =
+    out->sat_stats = pstats.totals;
+    out->sat_winner_lane = pstats.winner_lane;
+    out->sat_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sat_t0)
             .count();
@@ -1128,10 +1129,10 @@ Result<InsertTranslation> TranslateGroupInsertion(
       }
       row.push_back(fit->second);
     }
-    out.delta_r.ops.push_back(
+    out->delta_r.ops.push_back(
         TableOp{TableOp::Kind::kInsert, tmpl.table, std::move(row)});
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace xvu

@@ -76,10 +76,15 @@ struct InsertTranslation {
 ///  4. ∆R derivation: instantiate the new templates from the model; free
 ///     infinite-domain variables receive fresh values outside the active
 ///     domain.
-Result<InsertTranslation> TranslateGroupInsertion(
-    const ViewStore& store, const Database& base,
-    const std::vector<ViewRowOp>& insertions,
-    const InsertOptions& options = {}, ThreadPool* pool = nullptr);
+///
+/// `*out` is reset, then filled as far as the translation gets: on a
+/// rejection it still holds the counters of the steps that ran, including
+/// the solver's (`used_sat`, `sat_*`) when the SAT step rejected.
+Status TranslateGroupInsertion(const ViewStore& store, const Database& base,
+                               const std::vector<ViewRowOp>& insertions,
+                               InsertTranslation* out,
+                               const InsertOptions& options = {},
+                               ThreadPool* pool = nullptr);
 
 }  // namespace xvu
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "src/dag/dag_view.h"
 #include "src/dag/reachability.h"
 #include "src/dag/topo_order.h"
+#include "tests/oracles/reachability_oracle.h"
 #include "tests/test_util.h"
 
 namespace xvu {
@@ -136,7 +141,7 @@ TEST(Reachability, MatchesNaiveOnRandomDags) {
     auto topo = TopoOrder::Compute(dag);
     ASSERT_TRUE(topo.ok());
     Reachability fast = Reachability::Compute(dag, *topo);
-    Reachability naive = Reachability::ComputeNaive(dag);
+    Reachability naive = oracles::NaiveReachability(dag);
     EXPECT_TRUE(fast == naive) << "seed " << seed;
   }
 }
@@ -166,11 +171,54 @@ TEST(Reachability, InsertEraseBookkeeping) {
   EXPECT_FALSE(m.Insert(1, 2));  // duplicate
   EXPECT_FALSE(m.Insert(3, 3));  // reflexive pairs refused
   EXPECT_EQ(m.size(), 1u);
-  EXPECT_TRUE(m.Descendants(1).count(2) > 0);
-  EXPECT_TRUE(m.Ancestors(2).count(1) > 0);
+  EXPECT_TRUE(m.IsAncestor(1, 2));
+  EXPECT_FALSE(m.IsAncestor(2, 1));
   EXPECT_TRUE(m.Erase(1, 2));
   EXPECT_FALSE(m.Erase(1, 2));
   EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(Reachability, RandomInsertEraseMatchesPairSetOracle) {
+  // Ids are drawn over the whole range, so most edits land below a
+  // list's last element (the non-append path), alongside appends.
+  constexpr NodeId kIds = 40;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    Reachability m, twin;
+    std::set<std::pair<NodeId, NodeId>> oracle;
+    for (int step = 0; step < 3000; ++step) {
+      NodeId a = static_cast<NodeId>(rng.Below(kIds));
+      NodeId d = static_cast<NodeId>(rng.Below(kIds));
+      if (rng.Chance(0.6)) {
+        bool fresh = a != d && !oracle.count({a, d});
+        ASSERT_EQ(m.Insert(a, d), fresh) << "seed " << seed;
+        if (fresh) oracle.emplace(a, d);
+      } else {
+        ASSERT_EQ(m.Erase(a, d), oracle.erase({a, d}) > 0) << "seed " << seed;
+      }
+      ASSERT_EQ(m.size(), oracle.size());
+    }
+    std::vector<std::vector<NodeId>> anc(kIds), desc(kIds);
+    for (const auto& [a, d] : oracle) {  // lexicographic: both ascending
+      anc[d].push_back(a);
+      desc[a].push_back(d);
+      EXPECT_TRUE(m.IsAncestor(a, d));
+    }
+    for (NodeId v = 0; v < kIds; ++v) {
+      EXPECT_EQ(m.Ancestors(v), anc[v]) << "seed " << seed << " node " << v;
+      EXPECT_EQ(m.Descendants(v), desc[v]) << "seed " << seed << " node " << v;
+    }
+    // Equality is by content, not by edit history: the same pairs inserted
+    // in descending order compare equal, and one pair fewer does not.
+    for (auto it = oracle.rbegin(); it != oracle.rend(); ++it) {
+      twin.Insert(it->first, it->second);
+    }
+    EXPECT_TRUE(m == twin);
+    if (!oracle.empty()) {
+      twin.Erase(oracle.begin()->first, oracle.begin()->second);
+      EXPECT_FALSE(m == twin);
+    }
+  }
 }
 
 TEST(DagView, CanonicalEdgesStableUnderIdRenaming) {

@@ -12,6 +12,7 @@
 #include "src/dag/maintenance_engine.h"
 #include "src/workload/registrar.h"
 #include "src/xpath/parser.h"
+#include "tests/oracles/reachability_oracle.h"
 #include "tests/test_util.h"
 
 namespace xvu {
@@ -139,7 +140,7 @@ std::vector<MutOp> RandomBatch(DagView* probe, Rng* rng, uint64_t uid_base) {
       NodeId u = live[rng->Below(live.size())];
       NodeId v = live[rng->Below(live.size())];
       if (u == v || probe->HasEdge(u, v)) continue;
-      Reachability naive = Reachability::ComputeNaive(*probe);
+      Reachability naive = oracles::NaiveReachability(*probe);
       if (v == u || naive.IsAncestor(v, u) || v == probe->root()) continue;
       AddRecordedEdge(probe, &ops, u, v);
     } else if (roll < 0.7) {
@@ -223,7 +224,7 @@ TEST(MaintenanceEngineFuzz, IncrementalMergeMatchesFullRebuild) {
           << ctx;
       // (b) Full-matrix compare: merged M == rebuilt M == naive oracle.
       ASSERT_TRUE(inc_engine.reach() == full_engine.reach()) << ctx;
-      ASSERT_TRUE(inc_engine.reach() == Reachability::ComputeNaive(inc_dag))
+      ASSERT_TRUE(inc_engine.reach() == oracles::NaiveReachability(inc_dag))
           << ctx;
       // (c) L bit-identical (the merge re-derives it with the same Kahn
       // pass) and valid.
@@ -305,7 +306,7 @@ TEST(MaintenanceEngineFuzz, RegionGcWindowMatchesFullRebuild) {
   EXPECT_EQ(inc_report.delta.orphan_edges, full_report.delta.orphan_edges);
   EXPECT_EQ(inc_dag.CanonicalEdges(), full_dag.CanonicalEdges());
   EXPECT_TRUE(inc_engine.reach() == full_engine.reach());
-  EXPECT_TRUE(inc_engine.reach() == Reachability::ComputeNaive(inc_dag));
+  EXPECT_TRUE(inc_engine.reach() == oracles::NaiveReachability(inc_dag));
   EXPECT_EQ(inc_engine.topo().order(), full_engine.topo().order());
 }
 

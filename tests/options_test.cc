@@ -50,6 +50,19 @@ TEST(Options, CdclSolverProvesUnsat) {
       << st.ToString();
 }
 
+TEST(Options, UnsatRejectionStillReportsTheSolverRun) {
+  UpdateSystem::Options opts;
+  auto sys = MakeSyntheticSystem(opts, /*g_uniform_prob=*/0.0);
+  Status st =
+      sys->ApplyStatement("insert B(777777) into //C[cid=\"3\"]/buddies");
+  ASSERT_TRUE(st.IsRejected()) << st.ToString();
+  const UpdateStats& stats = sys->last_stats();
+  EXPECT_TRUE(stats.used_sat);
+  EXPECT_TRUE(stats.sat_conflicts > 0 || stats.sat_seconds > 0)
+      << "conflicts " << stats.sat_conflicts << ", seconds "
+      << stats.sat_seconds;
+}
+
 TEST(Options, WalkSatFirstAcceptsViaWalkSat) {
   UpdateSystem::Options opts;
   opts.insert.portfolio.walksat_lanes = 1;  // the paper's configuration

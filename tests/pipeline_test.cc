@@ -332,6 +332,45 @@ TEST(Pipeline, OneBadOpRejectsTheWholeBatch) {
   EXPECT_EQ(sys->database().TotalRows(), rows_before);
 }
 
+TEST(Pipeline, SubtreeCyclicAmongFreshNodesRollsBackBitIdentically) {
+  // Two unpublished MATH courses require each other. Inserting one under
+  // CS650's prereq publishes a subtree whose fresh nodes close a loop;
+  // the op is rejected and the whole write undone.
+  auto db = MakeRegistrarDatabase();
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE(LoadRegistrarSample(&*db).ok());
+  Table* course = db->GetTable("course");
+  Table* prereq = db->GetTable("prereq");
+  ASSERT_TRUE(course->Insert({S("CS998"), S("Loop A"), S("MATH")}).ok());
+  ASSERT_TRUE(course->Insert({S("CS999"), S("Loop B"), S("MATH")}).ok());
+  ASSERT_TRUE(prereq->Insert({S("CS998"), S("CS999")}).ok());
+  ASSERT_TRUE(prereq->Insert({S("CS999"), S("CS998")}).ok());
+  auto atg = MakeRegistrarAtg(*db);
+  ASSERT_TRUE(atg.ok());
+  auto created = UpdateSystem::Create(std::move(*atg), std::move(*db));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  UpdateSystem& sys = **created;
+  ASSERT_TRUE(sys.Query("//course[cno=\"CS998\"]")->selected.empty());
+
+  const std::string before = sys.DebugFingerprint();
+  UpdateBatch batch;
+  batch.Insert("course", {S("CS998"), S("Loop A")},
+               P("course[cno=\"CS650\"]/prereq"));
+  Status st = sys.ApplyBatch(batch);
+  ASSERT_TRUE(st.IsRejected()) << st.ToString();
+  // Caught by the subtree publication itself, not the later cone guard.
+  EXPECT_NE(st.message().find("subtree of"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.message().find("makes the view cyclic"), std::string::npos)
+      << st.ToString();
+  // The rejected op's evaluation stays cached (valid at the restored
+  // version); everything before the cache section is bit-identical.
+  const std::string after = sys.DebugFingerprint();
+  EXPECT_EQ(after.substr(0, after.rfind("[cache]")),
+            before.substr(0, before.rfind("[cache]")));
+  ExpectConsistent(sys);
+}
+
 TEST(Pipeline, TextualStatementsViaAdd) {
   auto sys = MakeSystem();
   UpdateBatch batch;

@@ -177,6 +177,35 @@ TEST(Propagate, CyclicInsertionRejectedAndResynced) {
   ExpectSynced(*sys, "cyclic rejected");
 }
 
+TEST(Propagate, CycleAmongFreshSubtreeNodesRejected) {
+  // CS998 and CS999 (unpublished: not CS) require each other. Making
+  // CS998 a prereq of CS650 publishes both, and the loop closes inside
+  // the new subtree rather than through an existing node.
+  auto sys = MakeSystem();
+  ASSERT_TRUE(sys->ApplyRelationalUpdate(
+                     Ins("course", {S("CS998"), S("Loop A"), S("MATH")}))
+                  .ok());
+  ASSERT_TRUE(sys->ApplyRelationalUpdate(
+                     Ins("course", {S("CS999"), S("Loop B"), S("MATH")}))
+                  .ok());
+  ASSERT_TRUE(
+      sys->ApplyRelationalUpdate(Ins("prereq", {S("CS998"), S("CS999")}))
+          .ok());
+  ASSERT_TRUE(
+      sys->ApplyRelationalUpdate(Ins("prereq", {S("CS999"), S("CS998")}))
+          .ok());
+  ExpectSynced(*sys, "unpublished loop");
+  Status st =
+      sys->ApplyRelationalUpdate(Ins("prereq", {S("CS650"), S("CS998")}));
+  EXPECT_TRUE(st.IsRejected()) << st.ToString();
+  EXPECT_NE(st.message().find("makes the view cyclic"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(sys->database().GetTable("prereq")->FindByKey(
+                {S("CS650"), S("CS998")}),
+            nullptr);
+  ExpectSynced(*sys, "fresh-node cycle rejected");
+}
+
 TEST(Propagate, IdempotentInsertAndMissingDelete) {
   auto sys = MakeSystem();
   // Identical re-insert: no-op.

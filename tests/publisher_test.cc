@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "src/atg/publisher.h"
+#include "src/common/rng.h"
+#include "src/dag/topo_order.h"
 #include "src/workload/registrar.h"
+#include "src/workload/synthetic.h"
 
 namespace xvu {
 namespace {
@@ -182,6 +185,103 @@ TEST_F(PublisherTest, PublishSubtreeCreatesNewCourse) {
   NodeId prereq999 = dag2->FindNode("prereq", {Value::Str("CS999")});
   ASSERT_NE(prereq999, kInvalidNode);
   EXPECT_TRUE(dag2->HasEdge(prereq999, cs650));
+}
+
+TEST_F(PublisherTest, PublishSubtreeDetectsCycleAmongFreshNodes) {
+  // Publish first, then add two courses that require each other: neither
+  // is in the view yet, so the cycle closes among the subtree's own fresh
+  // nodes (CS998 -> prereq -> CS999 -> prereq -> CS998).
+  Publisher pub(&atg_, &db_);
+  auto dag = pub.PublishAll(nullptr);
+  ASSERT_TRUE(dag.ok());
+  Table* course = db_.GetTable("course");
+  Table* prereq = db_.GetTable("prereq");
+  ASSERT_TRUE(
+      course->Insert({Value::Str("CS998"), Value::Str("Loop A"),
+                      Value::Str("CS")})
+          .ok());
+  ASSERT_TRUE(
+      course->Insert({Value::Str("CS999"), Value::Str("Loop B"),
+                      Value::Str("CS")})
+          .ok());
+  ASSERT_TRUE(prereq->Insert({Value::Str("CS998"), Value::Str("CS999")}).ok());
+  ASSERT_TRUE(prereq->Insert({Value::Str("CS999"), Value::Str("CS998")}).ok());
+  auto sub = pub.PublishSubtree(
+      "course", {Value::Str("CS998"), Value::Str("Loop A")}, &*dag, nullptr);
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  EXPECT_TRUE(sub->cyclic);
+  EXPECT_FALSE(TopoOrder::Compute(*dag).ok());
+  // The delta names the looping nodes, so the caller can undo them.
+  EXPECT_NE(dag->FindNode("course",
+                          {Value::Str("CS999"), Value::Str("Loop B")}),
+            kInvalidNode);
+  EXPECT_EQ(sub->new_nodes.front(), sub->root);
+}
+
+/// A synthetic C row (or F/CU row: same 16-column shape) with the given
+/// key, filter bools and payload.
+Tuple WideRow(int64_t id, bool b, int64_t payload) {
+  Tuple row{Value::Int(id), Value::Bool(b), Value::Bool(b), Value::Bool(b),
+            Value::Int(payload)};
+  for (int i = 6; i <= 16; ++i) row.push_back(Value::Int(i));
+  return row;
+}
+
+TEST(PublisherCycleFuzz, FreshNodeCheckMatchesWholeDagCheck) {
+  // Synthetic recursive data: after the view is published, fresh C ids
+  // get a random H hierarchy among themselves (all reachable from the
+  // first), edges into the published ids, and sometimes a back edge
+  // (possibly a self loop) that makes the subtree cyclic. The subtree's
+  // verdict must equal a whole-DAG topological sort's.
+  size_t cyclic = 0, acyclic = 0;
+  for (uint64_t trial = 0; trial < 60; ++trial) {
+    SyntheticSpec spec;
+    spec.num_c = 40;
+    spec.seed = 100 + trial;
+    auto db = MakeSyntheticDatabase(spec);
+    ASSERT_TRUE(db.ok());
+    auto atg = MakeSyntheticAtg(*db);
+    ASSERT_TRUE(atg.ok());
+    Publisher pub(&*atg, &*db);
+    auto dag = pub.PublishAll(nullptr);
+    ASSERT_TRUE(dag.ok()) << dag.status().ToString();
+
+    Rng rng(trial);
+    const int64_t first = 1000;
+    const int64_t k = 2 + static_cast<int64_t>(rng.Below(8));
+    auto insert = [&](const char* table, Tuple row) {
+      ASSERT_TRUE(db->GetTable(table)->Insert(std::move(row)).ok());
+    };
+    for (int64_t id = first; id < first + k; ++id) {
+      insert("C", WideRow(id, true, id % spec.payload_domain));
+      insert("F", WideRow(id, true, id % spec.payload_domain));
+      insert("CU", WideRow(id, false, id % spec.payload_domain));
+      if (id > first) {
+        insert("H", {Value::Int(rng.Range(first, id - 1)), Value::Int(id)});
+      }
+      if (rng.Chance(0.5)) {
+        (void)db->GetTable("H")->InsertIfAbsent(
+            {Value::Int(id), Value::Int(rng.Range(2, 40))});
+      }
+    }
+    if (rng.Chance(0.5)) {
+      int64_t from = rng.Range(first, first + k - 1);
+      int64_t to = rng.Range(first, from);
+      (void)db->GetTable("H")->InsertIfAbsent(
+          {Value::Int(from), Value::Int(to)});
+    }
+
+    auto sub = pub.PublishSubtree(
+        "C", {Value::Int(first), Value::Int(first % spec.payload_domain)},
+        &*dag, nullptr);
+    ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+    ASSERT_FALSE(sub->new_nodes.empty());
+    const bool globally_cyclic = !TopoOrder::Compute(*dag).ok();
+    ASSERT_EQ(sub->cyclic, globally_cyclic) << "trial " << trial;
+    ++(globally_cyclic ? cyclic : acyclic);
+  }
+  EXPECT_GT(cyclic, 5u);
+  EXPECT_GT(acyclic, 5u);
 }
 
 TEST_F(PublisherTest, SubtreePropertyHolds) {

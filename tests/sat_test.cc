@@ -5,6 +5,7 @@
 #include "src/sat/dpll.h"
 #include "src/sat/encoder.h"
 #include "src/sat/walksat.h"
+#include "tests/oracles/dpll_oracle.h"
 
 namespace xvu {
 namespace {
@@ -168,7 +169,7 @@ TEST(Cdcl, AgreesWithRecursiveDpllOnRandomCnf) {
     int nc = 2 * nv + static_cast<int>(rng.Below(static_cast<uint64_t>(3 * nv)));
     bool mixed = inst % 2 == 0;
     Cnf cnf = RandomCnf(&rng, nv, nc, mixed);
-    SatResult oracle = SolveDpllRecursive(cnf);
+    SatResult oracle = oracles::SolveDpllRecursive(cnf);
     SatStats stats;
     SatResult fast = SolveCdcl(cnf, {}, &stats);
     ASSERT_EQ(fast.kind, oracle.kind) << "instance " << inst;

@@ -168,12 +168,13 @@ TEST_F(ViewUpdateTest, InsertExistingCourseAsPrereq) {
   op.row = ViewStore::MakeEdgeRow(
       static_cast<int64_t>(p320), -1,
       {S("CS240"), S("Data Structures"), S("CS320"), S("CS240")});
-  auto tr = TranslateGroupInsertion(store_, db_, {op});
-  ASSERT_TRUE(tr.ok()) << tr.status().ToString();
-  ASSERT_EQ(tr->delta_r.ops.size(), 1u);
-  EXPECT_EQ(tr->delta_r.ops[0].table, "prereq");
-  EXPECT_EQ(tr->delta_r.ops[0].row, (Tuple{S("CS320"), S("CS240")}));
-  EXPECT_FALSE(tr->used_sat);  // no finite-domain freedom here
+  InsertTranslation tr;
+  Status st = TranslateGroupInsertion(store_, db_, {op}, &tr);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(tr.delta_r.ops.size(), 1u);
+  EXPECT_EQ(tr.delta_r.ops[0].table, "prereq");
+  EXPECT_EQ(tr.delta_r.ops[0].row, (Tuple{S("CS320"), S("CS240")}));
+  EXPECT_FALSE(tr.used_sat);  // no finite-domain freedom here
 }
 
 TEST_F(ViewUpdateTest, InsertConflictingPayloadRejected) {
@@ -185,9 +186,9 @@ TEST_F(ViewUpdateTest, InsertConflictingPayloadRejected) {
   op.row = ViewStore::MakeEdgeRow(
       static_cast<int64_t>(p320), -1,
       {S("CS240"), S("Wrong Title"), S("CS320"), S("CS240")});
-  auto tr = TranslateGroupInsertion(store_, db_, {op});
-  ASSERT_FALSE(tr.ok());
-  EXPECT_TRUE(tr.status().IsRejected());
+  InsertTranslation tr;
+  Status st = TranslateGroupInsertion(store_, db_, {op}, &tr);
+  EXPECT_TRUE(st.IsRejected()) << st.ToString();
 }
 
 TEST_F(ViewUpdateTest, InsertNewCourseGetsFreshDept) {
@@ -201,11 +202,12 @@ TEST_F(ViewUpdateTest, InsertNewCourseGetsFreshDept) {
   op.row = ViewStore::MakeEdgeRow(
       static_cast<int64_t>(p650), -1,
       {S("CS500"), S("New Course"), S("CS650"), S("CS500")});
-  auto tr = TranslateGroupInsertion(store_, db_, {op});
-  ASSERT_TRUE(tr.ok()) << tr.status().ToString();
-  ASSERT_EQ(tr->delta_r.ops.size(), 2u);
+  InsertTranslation tr;
+  Status st = TranslateGroupInsertion(store_, db_, {op}, &tr);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(tr.delta_r.ops.size(), 2u);
   const TableOp* course_op = nullptr;
-  for (const TableOp& o : tr->delta_r.ops) {
+  for (const TableOp& o : tr.delta_r.ops) {
     if (o.table == "course") course_op = &o;
   }
   ASSERT_NE(course_op, nullptr);
@@ -220,10 +222,11 @@ TEST_F(ViewUpdateTest, InsertAlreadyPresentEdgeIsNoOp) {
                                  static_cast<int64_t>(p650),
                                  static_cast<int64_t>(c320));
   ASSERT_EQ(rows.size(), 1u);
-  auto tr = TranslateGroupInsertion(
-      store_, db_, {ViewRowOp{"edge_prereq_course", rows[0]}});
-  ASSERT_TRUE(tr.ok());
-  EXPECT_TRUE(tr->delta_r.empty());
+  InsertTranslation tr;
+  Status st = TranslateGroupInsertion(
+      store_, db_, {ViewRowOp{"edge_prereq_course", rows[0]}}, &tr);
+  ASSERT_TRUE(st.ok());
+  EXPECT_TRUE(tr.delta_r.empty());
 }
 
 TEST_F(ViewUpdateTest, GroupInsertionMergesSharedTemplates) {
@@ -239,10 +242,11 @@ TEST_F(ViewUpdateTest, GroupInsertionMergesSharedTemplates) {
         {S("CS240"), S("Data Structures"), S(parent), S("CS240")});
     dv.push_back(std::move(op));
   }
-  auto tr = TranslateGroupInsertion(store_, db_, dv);
-  ASSERT_TRUE(tr.ok()) << tr.status().ToString();
-  EXPECT_EQ(tr->delta_r.ops.size(), 2u);
-  for (const TableOp& o : tr->delta_r.ops) EXPECT_EQ(o.table, "prereq");
+  InsertTranslation tr;
+  Status st = TranslateGroupInsertion(store_, db_, dv, &tr);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(tr.delta_r.ops.size(), 2u);
+  for (const TableOp& o : tr.delta_r.ops) EXPECT_EQ(o.table, "prereq");
 }
 
 }  // namespace
