@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/atg/publisher.h"
 #include "src/common/rng.h"
 #include "src/dag/topo_order.h"
@@ -212,9 +214,11 @@ TEST_F(PublisherTest, PublishSubtreeDetectsCycleAmongFreshNodes) {
   EXPECT_TRUE(sub->cyclic);
   EXPECT_FALSE(TopoOrder::Compute(*dag).ok());
   // The delta names the looping nodes, so the caller can undo them.
-  EXPECT_NE(dag->FindNode("course",
-                          {Value::Str("CS999"), Value::Str("Loop B")}),
-            kInvalidNode);
+  NodeId cs999 =
+      dag->FindNode("course", {Value::Str("CS999"), Value::Str("Loop B")});
+  ASSERT_NE(cs999, kInvalidNode);
+  EXPECT_NE(std::find(sub->new_nodes.begin(), sub->new_nodes.end(), cs999),
+            sub->new_nodes.end());
   EXPECT_EQ(sub->new_nodes.front(), sub->root);
 }
 
